@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 I/O or format error; 2 invalid parameters;
-3 oracle-check mismatch; 4 invalid tree decomposition.
+Exit codes: 0 success; 1 I/O or format error; 2 invalid parameters, a
+weight sum outside the 64-bit range, or an instance too large for
+--oracle-check; 3 oracle-check mismatch; 4 invalid tree decomposition.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import sys
 import time
 from dataclasses import replace
 
-from .core import GraphFormatError, WeightedGraph, load_graph
+from .core import (GraphFormatError, WeightedGraph, WeightOverflowError,
+                   load_graph)
 from .treedec import balance, load_td, save_td, validate
 from .kbest import RunStats, k_best, k_best_direct
 from . import oracle
@@ -143,7 +145,7 @@ def _run_solver(args, problem: str) -> int:
             results = k_best(g, problem, k, s=s, t=t,
                              want_solutions=args.solutions, td=td, stats=stats)
         elapsed = time.perf_counter() - t0
-    except ValueError as exc:
+    except (ValueError, WeightOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
 
@@ -162,7 +164,12 @@ def _run_solver(args, problem: str) -> int:
 
     if args.oracle_check:
         got = [v for v, _ in results]
-        want = _oracle_values(g, problem, s, t, len(got) if got else 1)
+        try:
+            want = _oracle_values(g, problem, s, t, len(got) if got else 1)
+        except oracle.OracleCapExceeded as exc:
+            print(f"error: instance too large for --oracle-check: {exc}",
+                  file=sys.stderr)
+            return EXIT_PARAMS
         if got != want:
             print(f"oracle mismatch: engine={got} oracle={want}",
                   file=sys.stderr)

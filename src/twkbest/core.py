@@ -121,10 +121,6 @@ class WeightedGraph:
     def endpoints(self, edge_index: int) -> tuple[int, int]:
         return self.edges[edge_index - 1]
 
-    def incident(self, v: int) -> list[int]:
-        """Edge indices incident to v (1-based)."""
-        return [i for i, (t, h) in enumerate(self.edges, 1) if v in (t, h)]
-
 
 def undirected_shadow(g: WeightedGraph) -> WeightedGraph:
     """Forget edge orientations; edge indices and weights are preserved."""
@@ -159,51 +155,42 @@ def make_solution(*sets: Iterable[FeatureId]) -> Solution:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-variable feature costs: ``cost[(var_index, feature)]``.
+    """Feature costs of the one set variable: ``cost[feature]``.
 
-    ``var_types[i]`` is VERTEX or EDGE; costs are only defined for features of
-    the matching kind.  Features absent from ``cost`` are free (cost 0).
+    ``kind`` is VERTEX or EDGE; costs are only defined for features of that
+    kind.  Features absent from ``cost`` are free (cost 0).
     """
 
-    n_free: int
-    var_types: tuple[str, ...]
-    cost: dict[tuple[int, FeatureId], int]
+    kind: str
+    cost: dict[FeatureId, int]
 
     def __post_init__(self):
-        if len(self.var_types) != self.n_free:
-            raise ValueError("var_types length must equal n_free")
-        for (i, fid) in self.cost:
-            if not (0 <= i < self.n_free):
-                raise ValueError(f"variable index {i} out of range")
-            if fid.kind != self.var_types[i]:
-                raise ValueError(f"cost defined for {fid} but variable {i} has type {self.var_types[i]}")
-
-    def value_of(self, var_index: int, fid: FeatureId) -> int:
-        if fid.kind != self.var_types[var_index]:
-            raise ValueError(f"feature {fid} does not match variable {var_index} type")
-        return self.cost.get((var_index, fid), 0)
+        for fid in self.cost:
+            if fid.kind != self.kind:
+                raise ValueError(f"cost defined for {fid} but the variable has type {self.kind}")
 
     @staticmethod
     def edge_costs(g: WeightedGraph) -> "CostModel":
-        """Single edge-set variable priced by the graph's edge weights."""
-        cost = {(0, edge(i)): g.weight(edge(i)) for i in range(1, g.m + 1)}
-        return CostModel(1, (EDGE,), cost)
+        """Edge-set variable priced by the graph's edge weights."""
+        cost = {edge(i): g.weight(edge(i)) for i in range(1, g.m + 1)}
+        return CostModel(EDGE, cost)
 
     @staticmethod
     def vertex_costs(g: WeightedGraph) -> "CostModel":
-        """Single vertex-set variable priced by the graph's vertex weights."""
-        cost = {(0, vertex(i)): g.weight(vertex(i)) for i in range(1, g.n + 1)}
-        return CostModel(1, (VERTEX,), cost)
+        """Vertex-set variable priced by the graph's vertex weights."""
+        cost = {vertex(i): g.weight(vertex(i)) for i in range(1, g.n + 1)}
+        return CostModel(VERTEX, cost)
 
 
 def solution_value(s: Solution, c: CostModel) -> int:
     """Exact integer value of a solution; overflow-checked."""
-    if len(s.sets) != c.n_free:
-        raise ValueError(f"solution has {len(s.sets)} sets, cost model expects {c.n_free}")
+    if len(s.sets) != 1:
+        raise ValueError(f"solution has {len(s.sets)} sets, cost model expects 1")
     total = 0
-    for i, fs in enumerate(s.sets):
-        for fid in fs:
-            total = checked_add(total, c.value_of(i, fid))
+    for fid in s.sets[0]:
+        if fid.kind != c.kind:
+            raise ValueError(f"feature {fid} does not match variable type {c.kind}")
+        total = checked_add(total, c.cost.get(fid, 0))
     return total
 
 

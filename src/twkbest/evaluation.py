@@ -5,10 +5,11 @@ summarizing the k smallest solution values of a set.  ``combine`` is the
 operator for combining two independent solution sets (values add), ``merge``
 for the union of alternatives (k smallest overall).
 
-``evaluate`` produces an immutable tree of ``EvalNode`` objects mirroring the
-parse tree, with per-state values, canonical chosen decompositions per rank,
-and solution IDs satisfying the discriminating property: two (state, rank)
-entries of one node carry the same ID iff they denote the same solution.
+``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects
+mirroring the parse tree, with per-state values, canonical chosen
+decompositions per rank, and solution IDs satisfying the discriminating
+property: two (state, rank) entries of one node carry the same ID iff they
+denote the same solution.
 """
 from __future__ import annotations
 
@@ -69,24 +70,26 @@ class EvalNode:
     table:  state -> k-tuple of values
     chosen: state -> per-rank decomposition: a leaf pool index, or
             (q1, r1, q2, r2) naming child states and ranks
-    ids:    state -> per-rank solution ID (discriminating within the node)
-    id_map: ID -> representative (state, rank)
+    ids:    state -> per-rank solution ID (discriminating within the node);
+            at leaves the same dict as chosen, since IDs are pool indices
     pool:   (leaves) all unfiltered solutions as (value, feature set),
-            sorted by (value, encoding); IDs are pool indices
+            sorted by (value, encoding)
     state_sols: (leaves) state -> current (filtered, ordered) pool indices
     """
 
-    __slots__ = ("pnode", "children", "table", "ids", "chosen", "id_map",
+    __slots__ = ("pnode", "children", "table", "ids", "chosen",
                  "pool", "state_sols")
 
-    def __init__(self, pnode, children, table, ids, chosen, id_map,
+    # Never set; perfbench/tracing.py's copy_bytes still reads this name.
+    id_map = None
+
+    def __init__(self, pnode, children, table, ids, chosen,
                  pool=None, state_sols=None):
         self.pnode = pnode
         self.children = children
         self.table = table
         self.ids = ids
         self.chosen = chosen
-        self.id_map = id_map
         self.pool = pool
         self.state_sols = state_sols
 
@@ -109,10 +112,9 @@ class Evaluator:
         self._pair_memo: dict = {}
         self.nodes_built = 0
         # nid -> states reachable from the root state via fitting chains;
-        # computed once per tree and reused by path recopies (constraints
-        # only shrink realizable sets, so relevance stays a valid superset).
-        self.relevant: dict[int, frozenset] | None = None
-        self._relevant_tree = None
+        # computed by build and reused by path recopies (constraints only
+        # shrink realizable sets, so relevance stays a valid superset).
+        self.relevant: dict[int, frozenset] = {}
 
     def _compute_relevant(self, tree: ParseTree) -> None:
         automaton = self.automaton
@@ -143,7 +145,6 @@ class Evaluator:
                     down1.add(q1)
                     down2.add(q2)
         self.relevant = {nid: frozenset(s) for nid, s in rel.items()}
-        self._relevant_tree = tree
 
     # -- fitting pairs --------------------------------------------------
 
@@ -182,11 +183,11 @@ class Evaluator:
 
         feat = pnode.feature
         want = constraints.get(feat) if feat is not None else None
-        allowed = self.relevant.get(pnode.nid) if self.relevant else None
+        allowed = self.relevant[pnode.nid]
         k = self.structure.k
-        table, ids, chosen, state_sols = {}, {}, {}, {}
+        table, chosen, state_sols = {}, {}, {}
         for q, sols in raw.items():
-            if allowed is not None and q not in allowed:
+            if q not in allowed:
                 continue
             kept = [fs for fs in sols
                     if want is None or (feat in fs) == want]
@@ -202,11 +203,9 @@ class Evaluator:
             idx = [index_of[fs] for fs in kept]
             state_sols[q] = idx
             table[q] = self.structure.lift(by_fset[fs][0] for fs in kept)
-            ids[q] = tuple(idx[:k])
             chosen[q] = tuple(idx[:k])
-        id_map = _build_id_map(table, ids)
         self.nodes_built += 1
-        return EvalNode(pnode, (), table, ids, chosen, id_map, pool, state_sols)
+        return EvalNode(pnode, (), table, chosen, chosen, pool, state_sols)
 
     def inner_node(self, pnode: ParseNode, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
@@ -214,11 +213,11 @@ class Evaluator:
         rank 0 of its state among value ties (survivor rule)."""
         sig = self.automaton.signature(pnode)
         pairs = self.fitting_pairs(sig, ch1.table.keys(), ch2.table.keys())
-        allowed = self.relevant.get(pnode.nid) if self.relevant else None
+        allowed = self.relevant[pnode.nid]
         k = self.structure.k
         table, chosen = {}, {}
         for q, plist in pairs.items():
-            if allowed is not None and q not in allowed:
+            if q not in allowed:
                 continue
             cands = []
             for pidx, (q1, q2) in enumerate(plist):
@@ -243,22 +242,20 @@ class Evaluator:
 
         key_map: dict = {}
         ids = {}
-        for q in sorted(table, key=state_key):
+        for q, ds in chosen.items():
             qids = []
-            for (q1, r1, q2, r2) in chosen[q]:
+            for (q1, r1, q2, r2) in ds:
                 key = (ch1.ids[q1][r1], ch2.ids[q2][r2])
                 if key not in key_map:
                     key_map[key] = len(key_map)
                 qids.append(key_map[key])
             ids[q] = tuple(qids)
-        id_map = _build_id_map(table, ids)
         self.nodes_built += 1
-        return EvalNode(pnode, (ch1, ch2), table, ids, chosen, id_map)
+        return EvalNode(pnode, (ch1, ch2), table, ids, chosen)
 
     def build(self, tree: ParseTree, constraints: dict | None = None) -> EvalNode:
         constraints = constraints or {}
-        if self._relevant_tree is not tree:
-            self._compute_relevant(tree)
+        self._compute_relevant(tree)
         built: list[EvalNode | None] = [None] * len(tree.nodes)
         for pnode in tree.nodes:         # children precede parents
             if pnode.is_leaf():
@@ -268,24 +265,6 @@ class Evaluator:
                 built[pnode.nid] = self.inner_node(
                     pnode, built[c1.nid], built[c2.nid])
         return built[tree.root.nid]
-
-
-def _build_id_map(table, ids):
-    out: dict = {}
-    for q in sorted(table, key=state_key):
-        for r, i in enumerate(ids[q]):
-            if table[q][r] is INF:
-                break
-            out.setdefault(i, (q, r))
-    return out
-
-
-def evaluate(tree: ParseTree, automaton: EvalAutomaton, cost: CostModel,
-             structure: TopKStructure, constraints: dict | None = None,
-             evaluator: Evaluator | None = None) -> EvalNode:
-    """Root EvalNode with values, chosen decompositions and IDs populated."""
-    ev = evaluator or Evaluator(automaton, cost, structure)
-    return ev.build(tree, constraints)
 
 
 def root_values(root: EvalNode, automaton: EvalAutomaton) -> tuple:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import CostModel, Solution, WeightedGraph
-from .treedec import TreeDecomposition, balance, heuristic_decomposition, DEFAULT_C_DEPTH
-from .algebra import ParseTree, build_parse_tree
+from .treedec import TreeDecomposition, balance, heuristic_decomposition
+from .algebra import build_parse_tree
 from .evaluation import INF, Evaluator, TopKStructure, root_values
-from .problems import EvalAutomaton, builtin
+from .problems import builtin
 from .persist import (
-    Version,
     best_pair,
     constrain,
     initial_version,
@@ -33,16 +32,12 @@ DIRECT_K_LIMIT = 64
 @dataclass
 class RunStats:
     expansions: int = 0
-    copies: list = field(default_factory=list)
+    max_copies: int = 0
     exhausted_after: int | None = None
     infeasible: bool = False
     tree_depth: int = 0
     max_order: int = 0
     state_count: int = 0
-
-    @property
-    def max_copies(self) -> int:
-        return max(self.copies, default=0)
 
 
 def _count_states(root) -> int:
@@ -60,18 +55,15 @@ def _count_states(root) -> int:
 
 
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,
-            t: int | None = None, td: TreeDecomposition | None = None,
-            c_depth: int = DEFAULT_C_DEPTH,
-            cost: CostModel | None = None):
+            t: int | None = None, td: TreeDecomposition | None = None):
     """Decompose, balance, build the parse tree and the problem automaton."""
     if td is None:
         td = heuristic_decomposition(g)
-    sd = balance(td, g, c_depth)
+    sd = balance(td, g)
     tree = build_parse_tree(sd, g)
     automaton = builtin(problem, g, s, t)
-    if cost is None:
-        cost = (CostModel.edge_costs(g) if automaton.kind == "e"
-                else CostModel.vertex_costs(g))
+    cost = (CostModel.edge_costs(g) if automaton.kind == "e"
+            else CostModel.vertex_costs(g))
     return tree, automaton, cost
 
 
@@ -112,7 +104,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         for force in (True, False):
             child = constrain(v, report, force)
             if stats is not None:
-                stats.copies.append(child.copied_nodes)
+                stats.max_copies = max(stats.max_copies, child.copied_nodes)
             _, csecond = best_pair(child)
             if csecond is not INF:
                 heapq.heappush(heap, (csecond, seq, child))

@@ -22,7 +22,6 @@ class VersionError(ValueError):
 @dataclass(frozen=True)
 class Version:
     evaluator: Evaluator
-    tree: ParseTree
     root: EvalNode
     constraints: dict          # FeatureId -> True (forced) / False (excluded)
     copied_nodes: int = 0      # nodes allocated to create this version
@@ -35,7 +34,6 @@ class Version:
 @dataclass(frozen=True)
 class PivotReport:
     feature: FeatureId
-    var_index: int
     # root-to-leaf trace: (node, best entry (q, r), second entry (q, r))
     path: tuple
     best_contains: bool        # pivot lies in the best (rank-0) solution
@@ -50,7 +48,7 @@ def initial_version(tree: ParseTree, automaton: EvalAutomaton,
     ev = Evaluator(automaton, cost, TopKStructure(k))
     before = ev.nodes_built
     root = ev.build(tree)
-    return Version(ev, tree, root, {}, ev.nodes_built - before)
+    return Version(ev, root, {}, ev.nodes_built - before)
 
 
 def best_pair(v: Version) -> tuple:
@@ -90,7 +88,7 @@ def pivot_query(v: Version) -> PivotReport:
     diff = fs_a ^ fs_b
     assert diff, "leaf candidates identical: ID discrimination violated"
     feature = min(diff, key=lambda f: f.sort_key)
-    return PivotReport(feature, 0, tuple(path), feature in fs_a)
+    return PivotReport(feature, tuple(path), feature in fs_a)
 
 
 def constrain(v: Version, report: PivotReport, force: bool) -> Version:
@@ -133,7 +131,7 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
 
     copied = ev.nodes_built - before
     assert copied == len(report.path)
-    child = Version(ev, v.tree, fresh, constraints, copied)
+    child = Version(ev, fresh, constraints, copied)
     root_q = v.automaton.root_state()
     survivor_value = v.root.table[root_q][0 if survivor_is_best else 1]
     assert child.root.table[root_q][0] == survivor_value

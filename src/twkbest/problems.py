@@ -49,7 +49,6 @@ class EvalAutomaton:
     """Interface shared by the built-in automata; one set variable each."""
 
     kind: str            # VERTEX or EDGE: the type of the set variable
-    n_free = 1
 
     def root_state(self):
         raise NotImplementedError

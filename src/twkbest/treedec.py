@@ -271,15 +271,15 @@ def _binarize(bags: dict[int, frozenset[int]], children: dict[int, list[int]],
         stack.extend(children[u])
 
 
-def balance(td: TreeDecomposition, g: WeightedGraph,
-            c_depth: int = DEFAULT_C_DEPTH) -> ShallowDecomposition:
+def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     """Rebuild ``td`` as a binary decomposition of logarithmic depth.
 
     Recursive centroid splitting with at most two marked boundary bags per
     call: the new root bag is the centroid bag unioned with the marked bags
     (size <= 3*(w+1), so width <= 3w+2).  With two marks the split node is
     chosen on the path between them, so marks never accumulate; sizes halve
-    at least every other level, giving depth <= c_depth * ceil(log2(bags+1)).
+    at least every other level, giving
+    depth <= DEFAULT_C_DEPTH * ceil(log2(bags+1)).
     """
     report = validate(td, g)
     if not report.ok:
@@ -457,7 +457,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph,
 
     depth = depth_of(out_root)
     width = max(len(b) for b in out_bags.values()) - 1
-    bound = c_depth * math.ceil(math.log2(in_bags + 1))
+    bound = DEFAULT_C_DEPTH * math.ceil(math.log2(in_bags + 1))
     if depth > bound:
         raise TreeDecompositionError(f"balancer produced depth {depth} > {bound}")
     if width > 3 * td.width() + 2:

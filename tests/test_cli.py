@@ -114,6 +114,29 @@ def test_bad_parameters_exit_2(k3_file, capsys):
     assert code == 2
 
 
+def test_weight_overflow_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.gr"
+    p.write_text("p kbest 3 2 0\ne 1 2 9223372036854775807\ne 2 3 1\n")
+    code, out, err = run(capsys, "ksp", "--graph", str(p),
+                         "--source", "1", "--target", "3", "-k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oracle_check_too_large_exits_2(tmp_path, capsys):
+    p = tmp_path / "path30.gr"
+    p.write_text("p kbest 30 29 0\n"
+                 + "".join(f"e {i} {i + 1} 1\n" for i in range(1, 30)))
+    code, out, err = run(capsys, "solve", "--graph", str(p), "--problem",
+                         "vertex-cover", "-k", "2", "--oracle-check")
+    assert code == 2
+    assert out == "0\n0\n"
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_supplied_td_is_used(tmp_path, k3_file, capsys):
     td = tmp_path / "k3.td"
     td.write_text(K3_TD)

@@ -66,24 +66,22 @@ def test_solution_value():
     c = CostModel.edge_costs(g)
     assert solution_value(make_solution([]), c) == 0
     assert solution_value(make_solution([edge(1), edge(2)]), c) == 2
-    two_var = CostModel(2, (EDGE, VERTEX), {(0, edge(1)): 3, (1, vertex(2)): -1})
-    assert solution_value(make_solution([edge(1)], [vertex(2)]), two_var) == 2
 
 
 def test_solution_value_kind_mismatch():
-    c = CostModel(1, (EDGE,), {})
+    c = CostModel(EDGE, {})
     with pytest.raises(ValueError):
         solution_value(make_solution([vertex(1)]), c)
 
 
 def test_overflow_checked():
-    c = CostModel(1, (EDGE,), {(0, edge(1)): 2**62, (0, edge(2)): 2**62})
+    c = CostModel(EDGE, {edge(1): 2**62, edge(2): 2**62})
     with pytest.raises(WeightOverflowError):
         solution_value(make_solution([edge(1), edge(2)]), c)
 
 
 def test_solution_value_additive():
-    c = CostModel(1, (EDGE,), {(0, edge(i)): i * 7 - 3 for i in range(1, 6)})
+    c = CostModel(EDGE, {edge(i): i * 7 - 3 for i in range(1, 6)})
     s1 = make_solution([edge(1), edge(3)])
     s2 = make_solution([edge(2), edge(5)])
     joint = make_solution([edge(1), edge(2), edge(3), edge(5)])

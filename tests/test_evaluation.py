@@ -13,7 +13,6 @@ from twkbest.evaluation import (
     TopKStructure,
     combine2,
     combine_k,
-    evaluate,
     merge2,
     merge_k,
     reconstruct,
@@ -38,7 +37,7 @@ def build(g, problem, **kw):
     t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
     cost = CostModel.edge_costs(g) if a.kind == "e" else CostModel.vertex_costs(g)
-    return evaluate(t, a, cost, TopKStructure(k)), a, t
+    return Evaluator(a, cost, TopKStructure(k)).build(t), a, t
 
 
 # --- structure operators ----------------------------------------------------
