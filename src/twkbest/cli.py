@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 I/O or format error; 2 invalid parameters, a
-weight sum outside the 64-bit range, or an instance too large for
---oracle-check; 3 oracle-check mismatch; 4 invalid tree decomposition.
+reported solution value outside the 64-bit range, or an instance too large
+for --oracle-check; 3 oracle-check mismatch; 4 invalid tree decomposition.
 """
 from __future__ import annotations
 
@@ -109,13 +109,13 @@ def _emit(results, want_solutions: bool, out):
             print(value, file=out)
 
 
-def _oracle_values(g, problem, s, t, count):
+def _oracle_values(g, problem, s, t):
     pred, kind = oracle.predicate_for(problem, s, t)
     if problem == "simple-path" and g.m > 22:
         ref = oracle.enumerate_paths(g, s, t)
     else:
         ref = oracle.enumerate_sorted(g, pred, kind)
-    return [v for v, _ in ref[:count]]
+    return [v for v, _ in ref]
 
 
 def _run_solver(args, problem: str) -> int:
@@ -134,17 +134,23 @@ def _run_solver(args, problem: str) -> int:
         direct_k = getattr(args, "direct_k", None)
         if direct_k is None and (k is None or k < 1):
             raise ValueError("k must be a positive integer")
+        if direct_k is not None and args.solutions:
+            raise ValueError("--solutions is unavailable in --direct-k mode")
+        if args.oracle_check:
+            want = _oracle_values(g, problem, s, t)
         stats = RunStats()
         t0 = time.perf_counter()
         if direct_k is not None:
             values = k_best_direct(g, problem, direct_k, s=s, t=t, td=td)
             results = [(v, None) for v in values]
-            if args.solutions:
-                raise ValueError("--solutions is unavailable in --direct-k mode")
         else:
             results = k_best(g, problem, k, s=s, t=t,
                              want_solutions=args.solutions, td=td, stats=stats)
         elapsed = time.perf_counter() - t0
+    except oracle.OracleCapExceeded as exc:
+        print(f"error: instance too large for --oracle-check: {exc}",
+              file=sys.stderr)
+        return EXIT_PARAMS
     except (ValueError, WeightOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -164,12 +170,7 @@ def _run_solver(args, problem: str) -> int:
 
     if args.oracle_check:
         got = [v for v, _ in results]
-        try:
-            want = _oracle_values(g, problem, s, t, len(got) if got else 1)
-        except oracle.OracleCapExceeded as exc:
-            print(f"error: instance too large for --oracle-check: {exc}",
-                  file=sys.stderr)
-            return EXIT_PARAMS
+        want = want[:len(got) or 1]
         if got != want:
             print(f"oracle mismatch: engine={got} oracle={want}",
                   file=sys.stderr)

@@ -1,8 +1,8 @@
 """Graph, feature, and cost model shared by the whole pipeline.
 
-Weights are 64-bit signed integers throughout.  Sums are overflow-checked;
-anything outside the representable range raises :class:`WeightOverflowError`
-instead of wrapping.
+Weights are 64-bit signed integers.  Sums are exact Python integers; a
+value that is reported outside the 64-bit range raises
+:class:`WeightOverflowError` instead of wrapping.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ class WeightOverflowError(ArithmeticError):
     """A weight sum left the 64-bit signed range."""
 
 
-def checked_add(a: int, b: int) -> int:
-    s = a + b
+def check_int64(s: int) -> int:
+    """Return s; raise WeightOverflowError if it is outside the 64-bit range."""
     if s < INT64_MIN or s > INT64_MAX:
         raise WeightOverflowError(f"weight sum {s} exceeds 64-bit range")
     return s
@@ -183,15 +183,13 @@ class CostModel:
 
 
 def solution_value(s: Solution, c: CostModel) -> int:
-    """Exact integer value of a solution; overflow-checked."""
+    """Exact integer value of a solution; range-checked."""
     if len(s.sets) != 1:
         raise ValueError(f"solution has {len(s.sets)} sets, cost model expects 1")
-    total = 0
     for fid in s.sets[0]:
         if fid.kind != c.kind:
             raise ValueError(f"feature {fid} does not match variable type {c.kind}")
-        total = checked_add(total, c.cost.get(fid, 0))
-    return total
+    return check_int64(sum(c.cost.get(fid, 0) for fid in s.sets[0]))
 
 
 def load_graph(text: str) -> WeightedGraph:

@@ -9,21 +9,18 @@ for the union of alternatives (k smallest overall).
 mirroring the parse tree, with per-state values, canonical chosen
 decompositions per rank, and solution IDs satisfying the discriminating
 property: two (state, rank) entries of one node carry the same ID iff they
-denote the same solution.
+denote the same solution.  Values add exactly; ``kbest`` range-checks only
+the values it reports.
 """
 from __future__ import annotations
 
-from .core import CostModel, Solution, checked_add, make_solution, solution_value
+import functools
+
+from .core import CostModel, Solution, make_solution, solution_value
 from .algebra import ParseNode, ParseTree
 from .problems import EvalAutomaton, state_key
 
 INF = float("inf")
-
-
-def _add(a, b):
-    if a is INF or b is INF:
-        return INF
-    return checked_add(a, b)
 
 
 class TopKStructure:
@@ -44,7 +41,7 @@ class TopKStructure:
         return tuple(sorted(a + b)[: self.k])
 
     def combine(self, a: tuple, b: tuple) -> tuple:
-        sums = [_add(x, y) for x in a for y in b if x is not INF or y is not INF]
+        sums = [x + y for x in a for y in b if x is not INF and y is not INF]
         return self.lift(sums)
 
 
@@ -100,8 +97,12 @@ class EvalNode:
 class Evaluator:
     """Builds EvalNode trees; shared by initial evaluation and path recopies.
 
-    Fitting-pair lists are memoized per (operator signature, realizable child
-    state sets) — regular graphs hit the same few keys at every level.
+    ``build`` fixes, once per parse node, the table every later evaluation
+    of that node walks: at an inner node, each relevant output state with
+    its ordered fitting (q1, q2) pairs over the child states realizable
+    without constraints; at a leaf, its relevant states.  Constraints only
+    shrink child tables, so a path recopy just skips the pairs whose child
+    state has gone and never calls the automaton.
     """
 
     def __init__(self, automaton: EvalAutomaton, cost: CostModel,
@@ -109,60 +110,54 @@ class Evaluator:
         self.automaton = automaton
         self.cost = cost
         self.structure = structure
-        self._pair_memo: dict = {}
         self.nodes_built = 0
-        # nid -> states reachable from the root state via fitting chains;
-        # computed by build and reused by path recopies (constraints only
-        # shrink realizable sets, so relevance stays a valid superset).
-        self.relevant: dict[int, frozenset] = {}
+        # nid -> {relevant state: its fitting pairs (empty at leaves)}, where
+        # relevant means reachable from the root state via fitting chains.
+        self.relevant: dict[int, dict] = {}
 
     def _compute_relevant(self, tree: ParseTree) -> None:
+        """The only pass that calls ``delta`` and orders states.  Its memos
+        are locals: regular graphs hit the same few (signature, realizable
+        child sets) keys at every level, and they are freed once it ends."""
         automaton = self.automaton
+        delta = functools.cache(automaton.delta)
+        key = functools.cache(state_key)
+        pair_memo: dict = {}
         realizable: dict[int, frozenset] = {}
+        pairs_of: dict[int, dict] = {}
         for pn in tree.nodes:            # children precede parents
             if pn.is_leaf():
                 realizable[pn.nid] = frozenset(automaton.leaf_table(pn))
-            else:
-                pairs = self.fitting_pairs(
-                    automaton.signature(pn),
-                    realizable[pn.children[0].nid],
-                    realizable[pn.children[1].nid])
-                realizable[pn.nid] = frozenset(pairs)
-        rel: dict[int, set] = {pn.nid: set() for pn in tree.nodes}
-        rel[tree.root.nid] = {automaton.root_state()} & set(
-            realizable[tree.root.nid])
+                continue
+            sig = automaton.signature(pn)
+            states1 = realizable[pn.children[0].nid]
+            states2 = realizable[pn.children[1].nid]
+            pairs = pair_memo.get((sig, states1, states2))
+            if pairs is None:
+                pairs = pair_memo[sig, states1, states2] = {}
+                ordered2 = sorted(states2, key=key)
+                for q1 in sorted(states1, key=key):
+                    for q2 in ordered2:
+                        q = delta(sig, q1, q2)
+                        if q is not None:
+                            pairs.setdefault(q, []).append((q1, q2))
+            pairs_of[pn.nid] = pairs
+            realizable[pn.nid] = frozenset(pairs)
+        rel: dict[int, dict] = {pn.nid: {} for pn in tree.nodes}
+        if automaton.root_state() in realizable[tree.root.nid]:
+            rel[tree.root.nid][automaton.root_state()] = ()
         for pn in reversed(tree.nodes):  # parents precede children
             if pn.is_leaf():
                 continue
-            pairs = self.fitting_pairs(
-                automaton.signature(pn),
-                realizable[pn.children[0].nid],
-                realizable[pn.children[1].nid])
+            pairs = pairs_of[pn.nid]
+            table = rel[pn.nid]
             down1 = rel[pn.children[0].nid]
             down2 = rel[pn.children[1].nid]
-            for q in rel[pn.nid]:
-                for q1, q2 in pairs[q]:
-                    down1.add(q1)
-                    down2.add(q2)
-        self.relevant = {nid: frozenset(s) for nid, s in rel.items()}
-
-    # -- fitting pairs --------------------------------------------------
-
-    def fitting_pairs(self, sig, states1, states2):
-        """state -> ordered list of fitting (q1, q2) over realizable states."""
-        key = (sig, frozenset(states1), frozenset(states2))
-        hit = self._pair_memo.get(key)
-        if hit is not None:
-            return hit
-        delta = self.automaton.delta
-        out: dict = {}
-        for q1 in sorted(states1, key=state_key):
-            for q2 in sorted(states2, key=state_key):
-                q = delta(sig, q1, q2)
-                if q is not None:
-                    out.setdefault(q, []).append((q1, q2))
-        self._pair_memo[key] = out
-        return out
+            for q in table:
+                plist = table[q] = pairs[q]
+                for q1, q2 in plist:
+                    down1[q1] = down2[q2] = ()
+        self.relevant = rel
 
     # -- node construction ----------------------------------------------
 
@@ -211,17 +206,15 @@ class Evaluator:
                    prefer: tuple | None = None) -> EvalNode:
         """prefer = (state, (q1, r1, q2, r2)): force that decomposition to
         rank 0 of its state among value ties (survivor rule)."""
-        sig = self.automaton.signature(pnode)
-        pairs = self.fitting_pairs(sig, ch1.table.keys(), ch2.table.keys())
-        allowed = self.relevant[pnode.nid]
+        tables1, tables2 = ch1.table, ch2.table
         k = self.structure.k
         table, chosen = {}, {}
-        for q, plist in pairs.items():
-            if q not in allowed:
-                continue
+        for q, plist in self.relevant[pnode.nid].items():
             cands = []
             for pidx, (q1, q2) in enumerate(plist):
-                t1, t2 = ch1.table[q1], ch2.table[q2]
+                t1, t2 = tables1.get(q1), tables2.get(q2)
+                if t1 is None or t2 is None:
+                    continue
                 for r1, v1 in enumerate(t1):
                     if v1 is INF:
                         break
@@ -232,7 +225,7 @@ class Evaluator:
                             break
                         d = (q1, r1, q2, r2)
                         pref = 0 if prefer == (q, d) else 1
-                        cands.append((_add(v1, v2), pref, pidx, r1, r2, d))
+                        cands.append((v1 + v2, pref, pidx, r1, r2, d))
             if not cands:
                 continue
             cands.sort(key=lambda c: c[:5])

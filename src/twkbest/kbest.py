@@ -13,7 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .core import CostModel, Solution, WeightedGraph
+from .core import CostModel, Solution, WeightedGraph, check_int64
 from .treedec import TreeDecomposition, balance, heuristic_decomposition
 from .algebra import build_parse_tree
 from .evaluation import INF, Evaluator, TopKStructure, root_values
@@ -73,7 +73,8 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
            stats: RunStats | None = None) -> list[tuple[int, Solution | None]]:
     """The first min(k, m) values of the nondecreasing feasible-value
     sequence; with want_solutions, distinct feasible solutions achieving
-    them."""
+    them.  Raises WeightOverflowError if one of them leaves the 64-bit
+    range."""
     if k < 1:
         raise ValueError("k must be positive")
     tree, automaton, cost = prepare(g, problem, s, t, td)
@@ -88,7 +89,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         if stats is not None:
             stats.infeasible = True
         return []
-    out = [(first, solution_at(v0, 0) if want_solutions else None)]
+    out = [(check_int64(first), solution_at(v0, 0) if want_solutions else None)]
     heap: list = []
     seq = 0
     if second is not INF:
@@ -99,7 +100,8 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         key, _, v = heapq.heappop(heap)
         assert last_key is None or key >= last_key
         last_key = key
-        out.append((key, solution_at(v, 1) if want_solutions else None))
+        out.append((check_int64(key),
+                    solution_at(v, 1) if want_solutions else None))
         report = pivot_query(v)
         for force in (True, False):
             child = constrain(v, report, force)
@@ -125,7 +127,7 @@ def k_best_direct(g: WeightedGraph, problem: str, k: int,
         raise ValueError(f"direct mode supports 1 <= k <= {DIRECT_K_LIMIT}")
     tree, automaton, cost = prepare(g, problem, s, t, td)
     root = Evaluator(automaton, cost, TopKStructure(k)).build(tree)
-    return list(root_values(root, automaton))
+    return [check_int64(v) for v in root_values(root, automaton)]
 
 
 def exhaust(g: WeightedGraph, problem: str, s: int | None = None,

@@ -34,15 +34,9 @@ BUILTIN_PROBLEMS = ("simple-path", "spanning-tree", "perfect-matching", "vertex-
 DONE = "D"
 
 
-_state_key_cache: dict = {}
-
-
 def state_key(q) -> str:
     """Deterministic total order on states (used for canonical tie-breaking)."""
-    key = _state_key_cache.get(q)
-    if key is None:
-        key = _state_key_cache[q] = repr(q)
-    return key
+    return repr(q)
 
 
 class EvalAutomaton:
@@ -118,7 +112,6 @@ class SimplePathAutomaton(EvalAutomaton):
         self.s = s
         self.t = t
         self.directed = directed
-        self._delta_memo: dict = {}
 
     def root_state(self):
         return ((), 1)
@@ -140,16 +133,6 @@ class SimplePathAutomaton(EvalAutomaton):
         return (tuple(slots), c)
 
     def delta(self, sig, q1, q2):
-        key = (sig, q1, q2)
-        try:
-            return self._delta_memo[key]
-        except KeyError:
-            pass
-        out = self._delta(sig, q1, q2)
-        self._delta_memo[key] = out
-        return out
-
-    def _delta(self, sig, q1, q2):
         op = sig[0]
         s1, c1 = q1
         s2, c2 = q2

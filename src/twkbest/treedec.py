@@ -76,8 +76,10 @@ def validate(td: TreeDecomposition, g: WeightedGraph) -> ValidationReport:
             violations.append(f"tree edge ({a},{b}) references unknown bag")
 
     covered = set()
-    for b in td.bags.values():
+    for bid, b in td.bags.items():
         covered |= b
+        for v in sorted(v for v in b if not 1 <= v <= g.n):
+            violations.append(f"bag {bid}: vertex {v} outside 1..{g.n}")
     for v in range(1, g.n + 1):
         if v not in covered:
             violations.append(f"vertex {v} appears in no bag")

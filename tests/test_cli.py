@@ -132,9 +132,113 @@ def test_oracle_check_too_large_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--graph", str(p), "--problem",
                          "vertex-cover", "-k", "2", "--oracle-check")
     assert code == 2
-    assert out == "0\n0\n"
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_overflow_of_unreported_candidate_is_ignored(tmp_path, capsys):
+    p = tmp_path / "big.gr"
+    p.write_text("p kbest 3 3 0\ne 1 2 9223372036854775807\ne 2 3 5\n"
+                 "e 1 3 1\n")
+    code, out, err = run(capsys, "ksp", "--graph", str(p),
+                         "--source", "1", "--target", "3", "-k", "1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_overflow_only_of_a_reported_value_exits_2(tmp_path, capsys):
+    big = 2**62
+    p = tmp_path / "multi.gr"
+    p.write_text(f"p kbest 3 4 0\ne 1 2 0\ne 1 2 {big}\ne 2 3 0\n"
+                 f"e 2 3 {big}\n")
+    argv = ("solve", "--graph", str(p), "--problem", "spanning-tree")
+    code, out, _ = run(capsys, *argv, "-k", "3")
+    assert code == 0
+    assert out == f"0\n{big}\n{big}\n"
+    code, out, err = run(capsys, *argv, "-k", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_direct_k_with_solutions_rejected_before_solving(
+        k3_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the parameter check")
+
+    monkeypatch.setattr("twkbest.cli.k_best_direct", refuse)
+    code, out, err = run(capsys, "solve", "--graph", k3_file, "--problem",
+                         "spanning-tree", "--direct-k", "2", "--solutions")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bag_vertex_outside_graph_exits_4(tmp_path, capsys):
+    gr = tmp_path / "p3.gr"
+    gr.write_text(P3)
+    td = tmp_path / "phantom.td"
+    td.write_text("s td 2 3 3\nb 1 1 2 99\nb 2 2 3\n1 2\n")
+    files = ("--graph", str(gr), "--td", str(td))
+    for argv in (("validate",), ("balance",),
+                 ("ksp", "--source", "1", "--target", "3", "-k", "2"),
+                 ("solve", "--problem", "vertex-cover", "-k", "6",
+                  "--solutions")):
+        code, out, err = run(capsys, argv[0], *files, *argv[1:])
+        assert code == 4, argv
+        assert "vertex 99 outside 1..3" in out + err
+
+
+# Expected --solutions output among tied values, pinned so that the order in
+# which tied solutions come out cannot drift.
+PATH12 = "p kbest 12 11 0\n" + "".join(f"e {i} {i + 1} 1\n"
+                                      for i in range(1, 12))
+STRIP_2X6 = ("p kbest 12 16 0\n"
+             + "".join(f"e {i} {i + 1} 1\n" for i in (1, 2, 3, 4, 5))
+             + "".join(f"e {i} {i + 1} 1\n" for i in (7, 8, 9, 10, 11))
+             + "".join(f"e {i} {i + 6} 1\n" for i in range(1, 7)))
+K4 = ("p kbest 4 6 0\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\n"
+      "e 3 4 1\n")
+TIE_GOLDEN = [
+    (PATH12, ("solve", "--problem", "vertex-cover", "-k", "6"), [
+        (0, "v2 v4 v5 v7 v9 v11"),
+        (0, "v2 v4 v5 v7 v9 v11 v12"),
+        (0, "v2 v4 v5 v7 v8 v9 v11 v12"),
+        (0, "v2 v4 v5 v7 v8 v9 v11"),
+        (0, "v2 v4 v5 v7 v8 v10 v12"),
+        (0, "v2 v4 v5 v7 v9 v10 v12"),
+    ]),
+    (STRIP_2X6, ("ksp", "--source", "1", "--target", "12", "-k", "8"), [
+        (6, "e6 e7 e8 e9 e10 e11"),
+        (6, "e1 e2 e8 e9 e10 e13"),
+        (6, "e1 e7 e8 e9 e10 e12"),
+        (6, "e1 e2 e3 e4 e10 e15"),
+        (6, "e1 e2 e3 e4 e5 e16"),
+        (6, "e1 e2 e3 e9 e10 e14"),
+        (8, "e5 e6 e7 e8 e9 e11 e15 e16"),
+        (8, "e1 e5 e7 e8 e9 e12 e15 e16"),
+    ]),
+    (K4, ("solve", "--problem", "spanning-tree", "-k", "5"), [
+        (3, "e1 e2 e3"),
+        (3, "e1 e3 e4"),
+        (3, "e2 e3 e4"),
+        (3, "e1 e4 e5"),
+        (3, "e1 e2 e5"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("text,argv,rows", TIE_GOLDEN,
+                         ids=["vc-path12", "ksp-strip2x6", "st-k4"])
+def test_tie_order_golden(tmp_path, capsys, text, argv, rows):
+    p = tmp_path / "g.gr"
+    p.write_text(text)
+    code, out, _ = run(capsys, argv[0], "--graph", str(p), *argv[1:],
+                       "--solutions")
+    assert code == 0
+    want = "".join(json.dumps({"value": v, "sets": [names.split()]}) + "\n"
+                   for v, names in rows)
+    assert out == want
 
 
 def test_supplied_td_is_used(tmp_path, k3_file, capsys):

@@ -7,6 +7,7 @@ from twkbest.core import CostModel, WeightedGraph, edge
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
+from twkbest.oracle import enumerate_paths
 from twkbest.evaluation import INF
 from twkbest.persist import (
     VersionError,
@@ -125,3 +126,27 @@ def test_interleaved_constrains_leave_all_versions_intact():
         for u in versions:
             assert best_pair(u) == snapshots[id(u)]
             assert solution_at(u, 0) == sols[id(u)]
+
+
+def test_recopies_never_call_the_automaton():
+    g = make_graph(6, [(1, 2), (2, 3), (3, 6), (1, 4), (4, 5), (5, 6),
+                       (2, 5), (1, 5)], [1, 2, 3, 2, 2, 1, 1, 4])
+    v0, _ = version_for(g, "simple-path", s=1, t=6)
+
+    def refuse(*args):
+        raise AssertionError("automaton called after build")
+
+    v0.automaton.delta = refuse
+    v0.automaton.signature = refuse
+    values = [best_pair(v0)[0]]
+    frontier = [v0]
+    while frontier:
+        v = frontier.pop()
+        second = best_pair(v)[1]
+        if second is INF:
+            continue
+        values.append(second)
+        rep = pivot_query(v)
+        frontier += [constrain(v, rep, True), constrain(v, rep, False)]
+    assert sorted(values) == [val for val, _ in enumerate_paths(g, 1, 6)]
+    assert len(values) > 5

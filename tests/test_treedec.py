@@ -46,6 +46,16 @@ def test_validate_disconnected_vertex_trace():
     assert any("vertex 1" in v for v in rep.violations)
 
 
+def test_validate_bag_vertex_outside_graph():
+    g = path_graph(3)
+    td = TreeDecomposition({1: frozenset({1, 2, 99}), 2: frozenset({2, 3}),
+                            3: frozenset({0, 3})}, {(1, 2), (2, 3)})
+    rep = validate(td, g)
+    assert not rep.ok
+    assert "bag 1: vertex 99 outside 1..3" in rep.violations
+    assert "bag 3: vertex 0 outside 1..3" in rep.violations
+
+
 def test_td_roundtrip():
     td = load_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     assert td.bags == {1: frozenset({1, 2}), 2: frozenset({2, 3})}
