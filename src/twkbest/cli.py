@@ -75,8 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_graph(args) -> WeightedGraph:
-    g = load_graph(open(args.graph, "r", encoding="utf-8").read())
+    g = load_graph(_read(args.graph))
     override = getattr(args, "directed_override", None)
     if override is not None:
         g = replace(g, directed=bool(override))
@@ -86,7 +91,7 @@ def _load_graph(args) -> WeightedGraph:
 def _load_td(args, g):
     if getattr(args, "td", None) is None:
         return None
-    td = load_td(open(args.td, "r", encoding="utf-8").read())
+    td = load_td(_read(args.td))
     report = validate(td, g)
     if not report.ok:
         for line in report.violations:
@@ -181,7 +186,7 @@ def _run_solver(args, problem: str) -> int:
 def _run_balance(args) -> int:
     try:
         g = _load_graph(args)
-        td = load_td(open(args.td, "r", encoding="utf-8").read())
+        td = load_td(_read(args.td))
     except (OSError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -201,7 +206,7 @@ def _run_balance(args) -> int:
 def _run_validate(args) -> int:
     try:
         g = _load_graph(args)
-        td = load_td(open(args.td, "r", encoding="utf-8").read())
+        td = load_td(_read(args.td))
     except (OSError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

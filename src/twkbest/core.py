@@ -183,13 +183,14 @@ class CostModel:
 
 
 def solution_value(s: Solution, c: CostModel) -> int:
-    """Exact integer value of a solution; range-checked."""
+    """Exact integer value of a solution; not range-checked, since only
+    reported values must fit in 64 bits."""
     if len(s.sets) != 1:
         raise ValueError(f"solution has {len(s.sets)} sets, cost model expects 1")
     for fid in s.sets[0]:
         if fid.kind != c.kind:
             raise ValueError(f"feature {fid} does not match variable type {c.kind}")
-    return check_int64(sum(c.cost.get(fid, 0) for fid in s.sets[0]))
+    return sum(c.cost.get(fid, 0) for fid in s.sets[0])
 
 
 def load_graph(text: str) -> WeightedGraph:

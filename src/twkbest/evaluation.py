@@ -65,30 +65,23 @@ class EvalNode:
     """One parse node's evaluation results; immutable after construction.
 
     table:  state -> k-tuple of values
-    chosen: state -> per-rank decomposition: a leaf pool index, or
+    chosen: state -> per-rank decomposition: a leaf's feature set, or
             (q1, r1, q2, r2) naming child states and ranks
     ids:    state -> per-rank solution ID (discriminating within the node);
-            at leaves the same dict as chosen, since IDs are pool indices
-    pool:   (leaves) all unfiltered solutions as (value, feature set),
-            sorted by (value, encoding)
-    state_sols: (leaves) state -> current (filtered, ordered) pool indices
+            at leaves the same dict as chosen, since IDs are feature sets
     """
 
-    __slots__ = ("pnode", "children", "table", "ids", "chosen",
-                 "pool", "state_sols")
+    __slots__ = ("pnode", "children", "table", "ids", "chosen")
 
-    # Never set; perfbench/tracing.py's copy_bytes still reads this name.
-    id_map = None
+    # Never set; perfbench/tracing.py's copy_bytes still reads these names.
+    id_map = pool = state_sols = None
 
-    def __init__(self, pnode, children, table, ids, chosen,
-                 pool=None, state_sols=None):
+    def __init__(self, pnode, children, table, ids, chosen):
         self.pnode = pnode
         self.children = children
         self.table = table
         self.ids = ids
         self.chosen = chosen
-        self.pool = pool
-        self.state_sols = state_sols
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -97,12 +90,13 @@ class EvalNode:
 class Evaluator:
     """Builds EvalNode trees; shared by initial evaluation and path recopies.
 
-    ``build`` fixes, once per parse node, the table every later evaluation
-    of that node walks: at an inner node, each relevant output state with
-    its ordered fitting (q1, q2) pairs over the child states realizable
-    without constraints; at a leaf, its relevant states.  Constraints only
-    shrink child tables, so a path recopy just skips the pairs whose child
-    state has gone and never calls the automaton.
+    ``build`` fixes every per-node table, leaf or inner, once: at an inner
+    node, each relevant output state with its ordered fitting (q1, q2)
+    pairs over the child states realizable without constraints; at a leaf,
+    each relevant state with its (value, feature set) entries.  Constraints
+    only shrink these tables, so a path recopy filters a leaf's entries,
+    skips the pairs whose child state has gone, and never calls the
+    automaton.
     """
 
     def __init__(self, automaton: EvalAutomaton, cost: CostModel,
@@ -111,23 +105,32 @@ class Evaluator:
         self.cost = cost
         self.structure = structure
         self.nodes_built = 0
-        # nid -> {relevant state: its fitting pairs (empty at leaves)}, where
-        # relevant means reachable from the root state via fitting chains.
+        # nid -> {relevant state: its fitting pairs (inner nodes) or its
+        # (value, feature set) entries sorted by (value, encoding) (leaves)},
+        # where relevant means reachable from the root state via fitting chains.
         self.relevant: dict[int, dict] = {}
 
     def _compute_relevant(self, tree: ParseTree) -> None:
-        """The only pass that calls ``delta`` and orders states.  Its memos
-        are locals: regular graphs hit the same few (signature, realizable
-        child sets) keys at every level, and they are freed once it ends."""
+        """The only pass that calls the automaton and orders states.  Its
+        memos are locals: regular graphs hit the same few (signature,
+        realizable child sets) keys at every level, and they are freed once
+        it ends."""
         automaton = self.automaton
         delta = functools.cache(automaton.delta)
         key = functools.cache(state_key)
+
+        @functools.cache
+        def rank(fs):                    # a leaf entry's sort key
+            sol = make_solution(fs)
+            return solution_value(sol, self.cost), sol.encoding()
+
         pair_memo: dict = {}
         realizable: dict[int, frozenset] = {}
-        pairs_of: dict[int, dict] = {}
+        tables_of: dict[int, dict] = {}  # leaf_table, or q -> fitting pairs
         for pn in tree.nodes:            # children precede parents
             if pn.is_leaf():
-                realizable[pn.nid] = frozenset(automaton.leaf_table(pn))
+                tables_of[pn.nid] = automaton.leaf_table(pn)
+                realizable[pn.nid] = frozenset(tables_of[pn.nid])
                 continue
             sig = automaton.signature(pn)
             states1 = realizable[pn.children[0].nid]
@@ -141,16 +144,19 @@ class Evaluator:
                         q = delta(sig, q1, q2)
                         if q is not None:
                             pairs.setdefault(q, []).append((q1, q2))
-            pairs_of[pn.nid] = pairs
+            tables_of[pn.nid] = pairs
             realizable[pn.nid] = frozenset(pairs)
         rel: dict[int, dict] = {pn.nid: {} for pn in tree.nodes}
         if automaton.root_state() in realizable[tree.root.nid]:
             rel[tree.root.nid][automaton.root_state()] = ()
         for pn in reversed(tree.nodes):  # parents precede children
-            if pn.is_leaf():
-                continue
-            pairs = pairs_of[pn.nid]
             table = rel[pn.nid]
+            if pn.is_leaf():             # leaf_table order, relevant states
+                rel[pn.nid] = {
+                    q: [(rank(fs)[0], fs) for fs in sorted(sols, key=rank)]
+                    for q, sols in tables_of[pn.nid].items() if q in table}
+                continue
+            pairs = tables_of[pn.nid]
             down1 = rel[pn.children[0].nid]
             down2 = rel[pn.children[1].nid]
             for q in table:
@@ -163,44 +169,23 @@ class Evaluator:
 
     def leaf_node(self, pnode: ParseNode, constraints: dict,
                   prefer: tuple | None = None) -> EvalNode:
-        """prefer = (state, pool_index): force that solution to rank 0 of
+        """prefer = (state, feature set): force that solution to rank 0 of
         its state among value ties (survivor rule)."""
-        raw = self.automaton.leaf_table(pnode)
-        by_fset: dict = {}
-        for sols in raw.values():
-            for fs in sols:
-                if fs not in by_fset:
-                    sol = make_solution(fs)
-                    by_fset[fs] = (solution_value(sol, self.cost), sol.encoding())
-        order = sorted(by_fset, key=lambda fs: by_fset[fs])
-        pool = [(by_fset[fs][0], fs) for fs in order]
-        index_of = {fs: i for i, fs in enumerate(order)}
-
         feat = pnode.feature
         want = constraints.get(feat) if feat is not None else None
-        allowed = self.relevant[pnode.nid]
         k = self.structure.k
-        table, chosen, state_sols = {}, {}, {}
-        for q, sols in raw.items():
-            if q not in allowed:
-                continue
-            kept = [fs for fs in sols
-                    if want is None or (feat in fs) == want]
-            if not kept:
-                continue
-
-            def rank_key(fs, q=q):
-                val, enc = by_fset[fs]
-                pref = 0 if prefer == (q, index_of[fs]) else 1
-                return (val, pref, enc)
-
-            kept.sort(key=rank_key)
-            idx = [index_of[fs] for fs in kept]
-            state_sols[q] = idx
-            table[q] = self.structure.lift(by_fset[fs][0] for fs in kept)
-            chosen[q] = tuple(idx[:k])
+        table, chosen = {}, {}
+        for q, entries in self.relevant[pnode.nid].items():
+            if want is not None:
+                entries = [e for e in entries if (feat in e[1]) == want]
+                if not entries:
+                    continue
+            if prefer is not None and prefer[0] == q:
+                entries = sorted(entries, key=lambda e: (e[0], e[1] != prefer[1]))
+            table[q] = self.structure.lift(v for v, _ in entries)
+            chosen[q] = tuple(fs for _, fs in entries[:k])
         self.nodes_built += 1
-        return EvalNode(pnode, (), table, chosen, chosen, pool, state_sols)
+        return EvalNode(pnode, (), table, chosen, chosen)
 
     def inner_node(self, pnode: ParseNode, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
@@ -279,7 +264,7 @@ def reconstruct(root: EvalNode, state, rank: int) -> Solution:
         node, q, r = stack.pop()
         d = node.chosen[q][r]
         if node.is_leaf():
-            acc |= node.pool[d][1]
+            acc |= d
         else:
             q1, r1, q2, r2 = d
             stack.append((node.children[0], q1, r1))

@@ -40,20 +40,6 @@ class RunStats:
     state_count: int = 0
 
 
-def _count_states(root) -> int:
-    total = 0
-    seen = set()
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        if id(u) in seen:
-            continue
-        seen.add(id(u))
-        total += len(u.table)
-        stack.extend(u.children)
-    return total
-
-
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,
             t: int | None = None, td: TreeDecomposition | None = None):
     """Decompose, balance, build the parse tree and the problem automaton."""
@@ -83,7 +69,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         stats.max_order = tree.max_order
     v0 = initial_version(tree, automaton, cost)
     if stats is not None:
-        stats.state_count = _count_states(v0.root)
+        stats.state_count = sum(map(len, v0.evaluator.relevant.values()))
     first, second = best_pair(v0)
     if first is INF:
         if stats is not None:

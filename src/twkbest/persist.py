@@ -1,9 +1,10 @@
 """Persistent evaluation trees.
 
 A ``Version`` is an immutable evaluation tree identified by its root node.
-``constrain`` derives a new version by filtering one leaf's solution set and
-re-evaluating only the root-to-leaf path (path copying); all other nodes are
-shared, so earlier versions keep answering queries unchanged.
+``constrain`` derives a new version by filtering one leaf's feature sets and
+re-evaluating only the root-to-leaf path (path copying) over the per-node
+tables ``Evaluator.build`` fixed, without calling the automaton; all other
+nodes are shared, so earlier versions keep answering queries unchanged.
 """
 from __future__ import annotations
 
@@ -83,8 +84,8 @@ def pivot_query(v: Version) -> PivotReport:
             assert ch2.ids[da[2]][da[3]] != ch2.ids[db[2]][db[3]]
             node, a, b = ch2, (da[2], da[3]), (db[2], db[3])
     path.append((node, a, b))
-    fs_a = node.pool[node.chosen[a[0]][a[1]]][1]
-    fs_b = node.pool[node.chosen[b[0]][b[1]]][1]
+    fs_a = node.chosen[a[0]][a[1]]
+    fs_b = node.chosen[b[0]][b[1]]
     diff = fs_a ^ fs_b
     assert diff, "leaf candidates identical: ID discrimination violated"
     feature = min(diff, key=lambda f: f.sort_key)
@@ -95,7 +96,8 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
     """New version with the pivot feature forced into / excluded from all
     solutions.  Copies exactly the nodes on the report's path; the surviving
     solution (the one of v's best/second consistent with the constraint) is
-    re-ranked first so it is the new version's best."""
+    re-ranked first so it is the new version's best.  At the leaf the
+    survivor is named by its feature set, which is also its solution ID."""
     if not report.path or report.path[0][0] is not v.root:
         raise VersionError("report does not belong to this version")
     if report.feature in v.constraints:
@@ -110,9 +112,9 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
 
     leaf_entry = report.path[-1]
     leaf, (q, r) = leaf_entry[0], leaf_entry[pick]
-    pool_idx = leaf.chosen[q][r]
-    fresh = ev.leaf_node(leaf.pnode, constraints, prefer=(q, pool_idx))
-    assert fresh.state_sols[q][0] == pool_idx, "survivor lost its state optimum"
+    fs = leaf.chosen[q][r]
+    fresh = ev.leaf_node(leaf.pnode, constraints, prefer=(q, fs))
+    assert fresh.chosen[q][0] == fs, "survivor lost its state optimum"
 
     for i in range(len(report.path) - 2, -1, -1):
         entry = report.path[i]

@@ -5,6 +5,12 @@ import pytest
 
 from twkbest.cli import main
 
+# A file the CLI leaves open fails the test instead of only warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
 K3 = "p kbest 3 3 0\ne 1 2 1\ne 2 3 1\ne 3 1 5\n"
 P3 = "p kbest 3 2 0\ne 1 2 1\ne 2 3 1\n"
 K3_TD = "s td 2 3 3\nb 1 1 2 3\nb 2 1 3\n1 2\n"
@@ -155,6 +161,22 @@ def test_overflow_only_of_a_reported_value_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, *argv, "-k", "3")
     assert code == 0
     assert out == f"0\n{big}\n{big}\n"
+    code, out, err = run(capsys, *argv, "-k", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oracle_check_ignores_overflow_of_an_unreported_candidate(
+        tmp_path, capsys):
+    big = 2**62
+    p = tmp_path / "multi.gr"
+    p.write_text(f"p kbest 3 4 0\ne 1 2 0\ne 1 2 {big}\ne 2 3 0\n"
+                 f"e 2 3 {big}\n")
+    argv = ("solve", "--graph", str(p), "--problem", "spanning-tree",
+            "--oracle-check")
+    code, out, err = run(capsys, *argv, "-k", "3")
+    assert (code, out, err) == (0, f"0\n{big}\n{big}\n", "")
     code, out, err = run(capsys, *argv, "-k", "4")
     assert code == 2
     assert out == ""

@@ -138,6 +138,7 @@ def test_recopies_never_call_the_automaton():
 
     v0.automaton.delta = refuse
     v0.automaton.signature = refuse
+    v0.automaton.leaf_table = refuse
     values = [best_pair(v0)[0]]
     frontier = [v0]
     while frontier:
