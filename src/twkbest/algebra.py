@@ -205,6 +205,7 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         return cur
 
     root = build_bag(root_bag)
+    del build_bag                        # recursive closure: break the cycle
     if root.order != 0:
         raise ParseTreeError("root fragment still has sources")
 

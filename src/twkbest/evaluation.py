@@ -64,11 +64,12 @@ def combine2(a: tuple, b: tuple) -> tuple:
 class EvalNode:
     """One parse node's evaluation results; immutable after construction.
 
-    table:  state -> k-tuple of values
-    chosen: state -> per-rank decomposition: a leaf's feature set, or
-            (q1, r1, q2, r2) naming child states and ranks
-    ids:    state -> per-rank solution ID (discriminating within the node);
-            at leaves the same dict as chosen, since IDs are feature sets
+    Lists per state id (None where a constraint emptied the state):
+    table:  k-tuple of values
+    chosen: per-rank decomposition: a leaf's feature set, or
+            (i1, r1, i2, r2) naming child state ids and ranks
+    ids:    per-rank solution ID (discriminating within the node); at
+            leaves the same list as chosen, since IDs are feature sets
     """
 
     __slots__ = ("pnode", "children", "table", "ids", "chosen")
@@ -90,13 +91,13 @@ class EvalNode:
 class Evaluator:
     """Builds EvalNode trees; shared by initial evaluation and path recopies.
 
-    ``build`` fixes every per-node table, leaf or inner, once: at an inner
-    node, each relevant output state with its ordered fitting (q1, q2)
-    pairs over the child states realizable without constraints; at a leaf,
-    each relevant state with its (value, feature set) entries.  Constraints
-    only shrink these tables, so a path recopy filters a leaf's entries,
-    skips the pairs whose child state has gone, and never calls the
-    automaton.
+    ``build`` fixes every per-node table, leaf or inner, once: it numbers
+    each node's relevant states 0..S-1 (the root state is 0) and stores, per
+    state id, the ordered fitting pairs of child state ids over the child
+    states realizable without constraints (inner nodes) or the (value,
+    feature set) entries (leaves).  Constraints only shrink these tables, so
+    a path recopy filters a leaf's entries, skips the pairs whose child state
+    has gone, and never calls the automaton.
     """
 
     def __init__(self, automaton: EvalAutomaton, cost: CostModel,
@@ -105,16 +106,20 @@ class Evaluator:
         self.cost = cost
         self.structure = structure
         self.nodes_built = 0
-        # nid -> {relevant state: its fitting pairs (inner nodes) or its
-        # (value, feature set) entries sorted by (value, encoding) (leaves)},
-        # where relevant means reachable from the root state via fitting chains.
-        self.relevant: dict[int, dict] = {}
+        # nid -> per state id: its fitting (child 1 id, child 2 id) pairs
+        # (inner nodes) or its (value, feature set) entries sorted by (value,
+        # encoding) (leaves).  Only relevant states get an id: those
+        # reachable from the root state via fitting chains.
+        self.relevant: dict[int, list] = {}
 
     def _compute_relevant(self, tree: ParseTree) -> None:
         """The only pass that calls the automaton and orders states.  Its
         memos are locals: regular graphs hit the same few (signature,
         realizable child sets) keys at every level, and they are freed once
-        it ends."""
+        it ends.  Top-down, a child state gets the next id of its node the
+        first time a relevant parent pair names it, so a child's ids depend
+        only on its parent's pair table and state order, and nodes that share
+        both share one interned table."""
         automaton = self.automaton
         delta = functools.cache(automaton.delta)
         key = functools.cache(state_key)
@@ -146,58 +151,68 @@ class Evaluator:
                             pairs.setdefault(q, []).append((q1, q2))
             tables_of[pn.nid] = pairs
             realizable[pn.nid] = frozenset(pairs)
-        rel: dict[int, dict] = {pn.nid: {} for pn in tree.nodes}
+        rel: dict[int, list] = {}
+        ids_of = {tree.root.nid: {}}     # nid -> {state: id}, in id order
         if automaton.root_state() in realizable[tree.root.nid]:
-            rel[tree.root.nid][automaton.root_state()] = ()
+            ids_of[tree.root.nid][automaton.root_state()] = 0
+        interned: dict = {}              # (pairs, order) -> ids1, ids2, rel
         for pn in reversed(tree.nodes):  # parents precede children
-            table = rel[pn.nid]
-            if pn.is_leaf():             # leaf_table order, relevant states
-                rel[pn.nid] = {
-                    q: [(rank(fs)[0], fs) for fs in sorted(sols, key=rank)]
-                    for q, sols in tables_of[pn.nid].items() if q in table}
+            ids = ids_of[pn.nid]
+            if pn.is_leaf():
+                sols = tables_of[pn.nid]
+                rel[pn.nid] = [[(rank(fs)[0], fs) for fs in
+                                sorted(sols[q], key=rank)] for q in ids]
                 continue
             pairs = tables_of[pn.nid]
-            down1 = rel[pn.children[0].nid]
-            down2 = rel[pn.children[1].nid]
-            for q in table:
-                plist = table[q] = pairs[q]
-                for q1, q2 in plist:
-                    down1[q1] = down2[q2] = ()
+            memo_key = (id(pairs), tuple(ids))
+            if memo_key not in interned:
+                ids1, ids2 = {}, {}
+                interned[memo_key] = ids1, ids2, [
+                    [(ids1.setdefault(q1, len(ids1)),
+                      ids2.setdefault(q2, len(ids2))) for q1, q2 in pairs[q]]
+                    for q in ids]
+            c1, c2 = pn.children
+            ids_of[c1.nid], ids_of[c2.nid], rel[pn.nid] = interned[memo_key]
         self.relevant = rel
 
     # -- node construction ----------------------------------------------
 
     def leaf_node(self, pnode: ParseNode, constraints: dict,
                   prefer: tuple | None = None) -> EvalNode:
-        """prefer = (state, feature set): force that solution to rank 0 of
-        its state among value ties (survivor rule)."""
+        """prefer = (state id, feature set): force that solution to rank 0
+        of its state among value ties (survivor rule)."""
         feat = pnode.feature
         want = constraints.get(feat) if feat is not None else None
         k = self.structure.k
-        table, chosen = {}, {}
-        for q, entries in self.relevant[pnode.nid].items():
+        rel = self.relevant[pnode.nid]
+        table, chosen = [None] * len(rel), [None] * len(rel)
+        for i, entries in enumerate(rel):
             if want is not None:
                 entries = [e for e in entries if (feat in e[1]) == want]
                 if not entries:
                     continue
-            if prefer is not None and prefer[0] == q:
+            if prefer is not None and prefer[0] == i:
                 entries = sorted(entries, key=lambda e: (e[0], e[1] != prefer[1]))
-            table[q] = self.structure.lift(v for v, _ in entries)
-            chosen[q] = tuple(fs for _, fs in entries[:k])
+            top = entries[:k]            # entries are sorted by value
+            table[i] = tuple(v for v, _ in top) + (INF,) * (k - len(top))
+            chosen[i] = tuple(fs for _, fs in top)
         self.nodes_built += 1
         return EvalNode(pnode, (), table, chosen, chosen)
 
     def inner_node(self, pnode: ParseNode, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
-        """prefer = (state, (q1, r1, q2, r2)): force that decomposition to
-        rank 0 of its state among value ties (survivor rule)."""
+        """prefer = (state id, (i1, r1, i2, r2)): force that decomposition
+        to rank 0 of its state among value ties (survivor rule)."""
         tables1, tables2 = ch1.table, ch2.table
         k = self.structure.k
-        table, chosen = {}, {}
-        for q, plist in self.relevant[pnode.nid].items():
+        rel = self.relevant[pnode.nid]
+        n = len(rel)
+        table, chosen, ids = [None] * n, [None] * n, [None] * n
+        key_map: dict = {}
+        for q, plist in enumerate(rel):
             cands = []
-            for pidx, (q1, q2) in enumerate(plist):
-                t1, t2 = tables1.get(q1), tables2.get(q2)
+            for pidx, (i1, i2) in enumerate(plist):
+                t1, t2 = tables1[i1], tables2[i2]
                 if t1 is None or t2 is None:
                     continue
                 for r1, v1 in enumerate(t1):
@@ -208,26 +223,19 @@ class Evaluator:
                         # sorting combinations, so it can never reach the top k.
                         if v2 is INF or r1 + r2 >= k:
                             break
-                        d = (q1, r1, q2, r2)
+                        d = (i1, r1, i2, r2)
                         pref = 0 if prefer == (q, d) else 1
                         cands.append((v1 + v2, pref, pidx, r1, r2, d))
             if not cands:
                 continue
-            cands.sort(key=lambda c: c[:5])
+            # (pidx, r1, r2) is unique within a state: d is never compared.
+            cands.sort()
             top = cands[:k]
             table[q] = tuple(c[0] for c in top) + (INF,) * (k - len(top))
             chosen[q] = tuple(c[5] for c in top)
-
-        key_map: dict = {}
-        ids = {}
-        for q, ds in chosen.items():
-            qids = []
-            for (q1, r1, q2, r2) in ds:
-                key = (ch1.ids[q1][r1], ch2.ids[q2][r2])
-                if key not in key_map:
-                    key_map[key] = len(key_map)
-                qids.append(key_map[key])
-            ids[q] = tuple(qids)
+            ids[q] = tuple(key_map.setdefault(
+                (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
+                for i1, r1, i2, r2 in chosen[q])
         self.nodes_built += 1
         return EvalNode(pnode, (ch1, ch2), table, ids, chosen)
 
@@ -245,18 +253,16 @@ class Evaluator:
         return built[tree.root.nid]
 
 
-def root_values(root: EvalNode, automaton: EvalAutomaton) -> tuple:
-    q = automaton.root_state()
-    if q not in root.table:
-        return ()
-    return tuple(v for v in root.table[q] if v is not INF)
+def root_values(root: EvalNode) -> tuple:
+    vals = root.table[0] if root.table else None
+    return () if vals is None else tuple(v for v in vals if v is not INF)
 
 
-def reconstruct(root: EvalNode, state, rank: int) -> Solution:
-    """The solution denoted by (state, rank) at the root; value equals the
-    corresponding table entry."""
-    if state not in root.table or rank >= len(root.table[state]) \
-            or root.table[state][rank] is INF:
+def reconstruct(root: EvalNode, state: int, rank: int) -> Solution:
+    """The solution denoted by (state id, rank) at the root; value equals
+    the corresponding table entry."""
+    vals = root.table[state] if 0 <= state < len(root.table) else None
+    if vals is None or rank >= len(vals) or vals[rank] is INF:
         raise ValueError(f"no solution at state {state!r} rank {rank}")
     acc: set = set()
     stack = [(root, state, rank)]

@@ -9,6 +9,8 @@ nondecreasing order.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
 import random
 from dataclasses import dataclass
@@ -53,6 +55,20 @@ def prepare(g: WeightedGraph, problem: str, s: int | None = None,
     return tree, automaton, cost
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic collector: the trees a run builds are acyclic, so
+    reference counting frees them and a collection would only rescan them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
            t: int | None = None, want_solutions: bool = False,
            td: TreeDecomposition | None = None,
@@ -104,6 +120,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     return out
 
 
+@_gc_paused()
 def k_best_direct(g: WeightedGraph, problem: str, k: int,
                   s: int | None = None, t: int | None = None,
                   td: TreeDecomposition | None = None) -> list[int]:
@@ -113,7 +130,7 @@ def k_best_direct(g: WeightedGraph, problem: str, k: int,
         raise ValueError(f"direct mode supports 1 <= k <= {DIRECT_K_LIMIT}")
     tree, automaton, cost = prepare(g, problem, s, t, td)
     root = Evaluator(automaton, cost, TopKStructure(k)).build(tree)
-    return [check_int64(v) for v in root_values(root, automaton)]
+    return [check_int64(v) for v in root_values(root)]
 
 
 def exhaust(g: WeightedGraph, problem: str, s: int | None = None,

@@ -5,6 +5,7 @@ A ``Version`` is an immutable evaluation tree identified by its root node.
 re-evaluating only the root-to-leaf path (path copying) over the per-node
 tables ``Evaluator.build`` fixed, without calling the automaton; all other
 nodes are shared, so earlier versions keep answering queries unchanged.
+States are named by their per-node ids; the root state is id 0.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ class Version:
 @dataclass(frozen=True)
 class PivotReport:
     feature: FeatureId
-    # root-to-leaf trace: (node, best entry (q, r), second entry (q, r))
+    # root-to-leaf trace: (node, best entry (state id, rank), second entry)
     path: tuple
     best_contains: bool        # pivot lies in the best (rank-0) solution
 
@@ -53,14 +54,14 @@ def initial_version(tree: ParseTree, automaton: EvalAutomaton,
 
 
 def best_pair(v: Version) -> tuple:
-    vals = v.root.table.get(v.automaton.root_state())
+    vals = v.root.table[0] if v.root.table else None
     if vals is None:
         return (INF, INF)
     return (vals[0], vals[1])
 
 
 def solution_at(v: Version, rank: int) -> Solution:
-    return reconstruct(v.root, v.automaton.root_state(), rank)
+    return reconstruct(v.root, 0, rank)
 
 
 def pivot_query(v: Version) -> PivotReport:
@@ -70,8 +71,7 @@ def pivot_query(v: Version) -> PivotReport:
     if second is INF:
         raise VersionError("version is uniquely solvable or infeasible")
     node = v.root
-    a = (v.automaton.root_state(), 0)
-    b = (v.automaton.root_state(), 1)
+    a, b = (0, 0), (0, 1)
     path = []
     while not node.is_leaf():
         path.append((node, a, b))
@@ -134,7 +134,6 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
     copied = ev.nodes_built - before
     assert copied == len(report.path)
     child = Version(ev, fresh, constraints, copied)
-    root_q = v.automaton.root_state()
-    survivor_value = v.root.table[root_q][0 if survivor_is_best else 1]
-    assert child.root.table[root_q][0] == survivor_value
+    survivor_value = v.root.table[0][0 if survivor_is_best else 1]
+    assert child.root.table[0][0] == survivor_value
     return child

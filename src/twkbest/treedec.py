@@ -446,6 +446,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
         return me
 
     out_root = build(set(bags), [])
+    del build                            # recursive closure: break the cycle
 
     def depth_of(r: int) -> int:
         best = 0

@@ -93,30 +93,31 @@ def test_structure_monoid_laws():
 
 def test_k3_simple_path_top2():
     root, a, _ = build(K3, "simple-path", s=1, t=3)
-    assert root.table[a.root_state()] == (2, 5)
+    assert root.table[0] == (2, 5)
 
 
 def test_p3_single_path():
     root, a, _ = build(P3, "simple-path", s=1, t=3)
-    assert root.table[a.root_state()] == (2, INF)
+    assert root.table[0] == (2, INF)
 
 
 def test_matching_infeasible_root():
     root, a, _ = build(P3, "perfect-matching")
-    assert root_values(root, a) == ()
+    assert root_values(root) == ()
 
 
 def test_reconstruct_k3_ranks():
     root, a, _ = build(K3, "simple-path", s=1, t=3)
-    q = a.root_state()
+    q = 0
     assert reconstruct(root, q, 0).sets[0] == frozenset({edge(1), edge(2)})
     assert reconstruct(root, q, 1).sets[0] == frozenset({edge(3)})
 
 
 def test_reconstruct_infinite_rank_rejected():
     root, a, _ = build(P3, "simple-path", s=1, t=3)
-    with pytest.raises(ValueError):
-        reconstruct(root, a.root_state(), 1)
+    for state, rank in ((0, 1), (-1, 0), (len(root.table), 0)):
+        with pytest.raises(ValueError):
+            reconstruct(root, state, rank)
 
 
 def test_constraints_filter_at_introducing_leaf():
@@ -125,15 +126,17 @@ def test_constraints_filter_at_introducing_leaf():
     cost = CostModel.edge_costs(K3)
     ev = Evaluator(a, cost, TopKStructure(2))
     without = ev.build(t, {edge(3): False})
-    assert without.table[a.root_state()] == (2, INF)
+    assert without.table[0] == (2, INF)
     forced = ev.build(t, {edge(3): True})
-    assert forced.table[a.root_state()] == (5, INF)
-    assert reconstruct(forced, a.root_state(), 0).sets[0] == frozenset({edge(3)})
+    assert forced.table[0] == (5, INF)
+    assert reconstruct(forced, 0, 0).sets[0] == frozenset({edge(3)})
 
 
 def _denotations(node):
     out = {}
-    for q, vals in node.table.items():
+    for q, vals in enumerate(node.table):
+        if vals is None:
+            continue
         for r, v in enumerate(vals):
             if v is INF:
                 break
@@ -188,8 +191,8 @@ def test_reconstruction_value_matches_table():
             continue
         root, a, _ = build(g, "simple-path", s=s, t=t, k=4)
         cost = CostModel.edge_costs(g)
-        q = a.root_state()
-        for r, v in enumerate(root.table.get(q, ())):
+        q = 0
+        for r, v in enumerate(root.table[q] if root.table else ()):
             if v is INF:
                 break
             sol = reconstruct(root, q, r)

@@ -1,9 +1,10 @@
 """Best-first k-best driver against the brute-force reference."""
+import gc
 import random
 
 import pytest
 
-from twkbest.core import WeightedGraph, edge
+from twkbest.core import WeightOverflowError, WeightedGraph, edge
 from twkbest.kbest import RunStats, exhaust, k_best, k_best_direct
 from twkbest import oracle
 
@@ -110,3 +111,33 @@ def test_full_sequence_matches_oracle():
             assert stats.max_copies <= stats.tree_depth + 1
         sols = [s for _, s in got]
         assert len(set(sols)) == len(sols)
+
+
+def test_run_leaves_no_cycles_and_restores_collector():
+    """The parse and evaluation trees are acyclic, so reference counting
+    frees them when a run returns; the collector is paused during the run
+    and left as it was found."""
+    cycle = make_graph(8, [(i, i % 8 + 1) for i in range(1, 9)],
+                       [3, 1, 4, 1, 5, 9, 2, 6])
+    strip = make_graph(8, [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6),
+                           (5, 6), (5, 7), (6, 8), (7, 8)],
+                       [2, 7, 1, 8, 2, 8, 1, 8, 2, 8])
+    overflow = make_graph(3, [(1, 2), (2, 3)], [2**63 - 1, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (cycle, strip):
+            got = k_best(g, "simple-path", 5, s=1, t=g.n,
+                         want_solutions=True, stats=RunStats())
+            assert len(got) >= 2
+            assert gc.collect() == 0
+            assert k_best_direct(g, "simple-path", 5, s=1, t=g.n)
+            assert gc.collect() == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    k_best(strip, "simple-path", 3, s=1, t=8)
+    assert gc.isenabled()
+    with pytest.raises(WeightOverflowError):
+        k_best(overflow, "simple-path", 1, s=1, t=3)
+    assert gc.isenabled()
