@@ -5,19 +5,21 @@ summarizing the k smallest solution values of a set.  ``combine`` is the
 operator for combining two independent solution sets (values add), ``merge``
 for the union of alternatives (k smallest overall).
 
-``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects
-mirroring the parse tree, with per-state values, canonical chosen
-decompositions per rank, and solution IDs satisfying the discriminating
-property: two (state, rank) entries of one node carry the same ID iff they
-denote the same solution.  Values add exactly; ``kbest`` range-checks only
-the values it reports.
+``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects: the
+parse tree contracted to its live leaves (whose feature has the automaton's
+kind) and the inner nodes with two live children, a full binary tree.  Each
+node holds per-state values, canonical chosen decompositions per rank, and
+solution IDs satisfying the discriminating property: two (state, rank)
+entries of one node carry the same ID iff they denote the same solution.
+Values add exactly; ``kbest`` range-checks only the values it reports.
 """
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 
 from .core import CostModel, Solution, make_solution, solution_value
-from .algebra import ParseNode, ParseTree
+from .algebra import ParseTree
 from .problems import EvalAutomaton, state_key
 
 INF = float("inf")
@@ -62,9 +64,11 @@ def combine2(a: tuple, b: tuple) -> tuple:
 
 
 class EvalNode:
-    """One parse node's evaluation results; immutable after construction.
+    """One evaluation-tree node's results; immutable after construction.
 
-    Lists per state id (None where a constraint emptied the state):
+    eid indexes the Evaluator's tables; its states are those of the topmost
+    parse node it stands for.  Lists per state id (None where a constraint
+    emptied the state):
     table:  k-tuple of values
     chosen: per-rank decomposition: a leaf's feature set, or
             (i1, r1, i2, r2) naming child state ids and ranks
@@ -72,13 +76,13 @@ class EvalNode:
             leaves the same list as chosen, since IDs are feature sets
     """
 
-    __slots__ = ("pnode", "children", "table", "ids", "chosen")
+    __slots__ = ("eid", "children", "table", "ids", "chosen")
 
     # Never set; perfbench/tracing.py's copy_bytes still reads these names.
     id_map = pool = state_sols = None
 
-    def __init__(self, pnode, children, table, ids, chosen):
-        self.pnode = pnode
+    def __init__(self, eid, children, table, ids, chosen):
+        self.eid = eid
         self.children = children
         self.table = table
         self.ids = ids
@@ -91,13 +95,13 @@ class EvalNode:
 class Evaluator:
     """Builds EvalNode trees; shared by initial evaluation and path recopies.
 
-    ``build`` fixes every per-node table, leaf or inner, once: it numbers
-    each node's relevant states 0..S-1 (the root state is 0) and stores, per
-    state id, the ordered fitting pairs of child state ids over the child
-    states realizable without constraints (inner nodes) or the (value,
-    feature set) entries (leaves).  Constraints only shrink these tables, so
-    a path recopy filters a leaf's entries, skips the pairs whose child state
-    has gone, and never calls the automaton.
+    ``build`` fixes every per-node table once: it numbers each parse node's
+    relevant states 0..S-1 (the root state is 0), contracts the parse tree,
+    and stores, per evaluation node and state id, the ordered pairs of child
+    state ids (inner nodes) or (value, feature set) entries (leaves) that
+    are realizable without constraints.  Constraints only shrink these
+    tables, so a path recopy filters a leaf's entries, skips the pairs whose
+    child state has gone, and never calls the automaton.
     """
 
     def __init__(self, automaton: EvalAutomaton, cost: CostModel,
@@ -106,20 +110,22 @@ class Evaluator:
         self.cost = cost
         self.structure = structure
         self.nodes_built = 0
-        # nid -> per state id: its fitting (child 1 id, child 2 id) pairs
-        # (inner nodes) or its (value, feature set) entries sorted by (value,
-        # encoding) (leaves).  Only relevant states get an id: those
-        # reachable from the root state via fitting chains.
-        self.relevant: dict[int, list] = {}
+        # eid -> per state id: its (child 1 id, child 2 id) pairs (inner
+        # nodes) or its (value, feature set) entries sorted by value (leaves).
+        # Only relevant states get an id: those reachable from the root state
+        # via fitting chains.
+        self.relevant: list[list] = []
+        self.feature: list = []          # eid -> a leaf's feature, else None
 
-    def _compute_relevant(self, tree: ParseTree) -> None:
-        """The only pass that calls the automaton and orders states.  Its
-        memos are locals: regular graphs hit the same few (signature,
-        realizable child sets) keys at every level, and they are freed once
-        it ends.  Top-down, a child state gets the next id of its node the
-        first time a relevant parent pair names it, so a child's ids depend
-        only on its parent's pair table and state order, and nodes that share
-        both share one interned table."""
+    def _compute_relevant(self, tree: ParseTree) -> dict[int, list]:
+        """The only pass that calls the automaton and orders states; returns
+        each parse node's table by state id.  Its memos are locals: regular
+        graphs hit the same few (signature, realizable child sets) keys at
+        every level, and they are freed once it ends.  Top-down, a child
+        state gets the next id of its node the first time a relevant parent
+        pair names it, so a child's ids depend only on its parent's pair
+        table and state order, and nodes that share both share one interned
+        table."""
         automaton = self.automaton
         delta = functools.cache(automaton.delta)
         key = functools.cache(state_key)
@@ -173,18 +179,76 @@ class Evaluator:
                     for q in ids]
             c1, c2 = pn.children
             ids_of[c1.nid], ids_of[c2.nid], rel[pn.nid] = interned[memo_key]
-        self.relevant = rel
+        return rel
+
+    def _contract(self, tree: ParseTree, rel: dict[int, list]) -> list[tuple]:
+        """Keep the leaves whose feature has the automaton's kind and the
+        inner nodes with two live sides; fill ``relevant`` and ``feature`` by
+        eid and return each node's children eids, children first.  A constant
+        subtree denotes only the empty set, so above a node with one live side
+        each state lists, in pair order, the live side's lists: composite
+        pairs in (outer pidx, inner pidx, ...) order, leaf entries by value."""
+        kind = self.automaton.kind
+        empty = [(0, frozenset())]
+        root_states = len(rel[tree.root.nid])
+        nodes: list[list] = []           # eid -> [children eids, feature, lists]
+        chain: dict = {}                 # nid -> eid below it, None if constant
+        composed: dict = {}              # ids of (table, lists, side) -> all 3
+        for pn in tree.nodes:            # children precede parents
+            table = rel.pop(pn.nid)
+            if pn.is_leaf():
+                if pn.feature is not None and pn.feature.kind == kind:
+                    chain[pn.nid] = len(nodes)
+                    nodes.append([(), pn.feature, table])
+                else:
+                    assert all(e == empty for e in table), \
+                        f"constant leaf {pn.nid} denotes a nonempty solution"
+                    chain[pn.nid] = None
+                continue
+            e1, e2 = (chain.pop(c.nid) for c in pn.children)
+            if e1 is None and e2 is None:
+                assert all(len(p) == 1 for p in table), \
+                    f"constant node {pn.nid} denotes the empty set twice"
+                chain[pn.nid] = None
+            elif e1 is not None and e2 is not None:
+                chain[pn.nid] = len(nodes)
+                nodes.append([(e1, e2), None, table])
+            else:
+                side, eid = (0, e1) if e1 is not None else (1, e2)
+                kids, _, lists = nodes[eid]
+                memo_key = (id(table), id(lists), side)
+                if memo_key not in composed:
+                    composed[memo_key] = table, lists, self._compose(
+                        table, lists, side, leaf=not kids)
+                nodes[eid][2] = composed[memo_key][2]
+                chain[pn.nid] = eid
+        if chain[tree.root.nid] is None:  # no live leaf: one featureless leaf
+            nodes.append([(), None, [empty] * root_states])
+        shape, self.feature, self.relevant = map(list, zip(*nodes))
+        return shape
+
+    @staticmethod
+    def _compose(table: list, lists: list, side: int, leaf: bool) -> list:
+        out = []
+        for plist in table:
+            cat = [x for pair in plist for x in lists[pair[side]]]
+            if leaf:
+                cat.sort(key=itemgetter(0))  # ties keep (pidx, rank) order
+            # A repeat would be a duplicate solution: never silently dropped.
+            assert len(set(cat)) == len(cat), "duplicate composite entry"
+            out.append(cat)
+        return out
 
     # -- node construction ----------------------------------------------
 
-    def leaf_node(self, pnode: ParseNode, constraints: dict,
+    def leaf_node(self, eid: int, constraints: dict,
                   prefer: tuple | None = None) -> EvalNode:
         """prefer = (state id, feature set): force that solution to rank 0
         of its state among value ties (survivor rule)."""
-        feat = pnode.feature
+        feat = self.feature[eid]
         want = constraints.get(feat) if feat is not None else None
         k = self.structure.k
-        rel = self.relevant[pnode.nid]
+        rel = self.relevant[eid]
         table, chosen = [None] * len(rel), [None] * len(rel)
         for i, entries in enumerate(rel):
             if want is not None:
@@ -197,15 +261,17 @@ class Evaluator:
             table[i] = tuple(v for v, _ in top) + (INF,) * (k - len(top))
             chosen[i] = tuple(fs for _, fs in top)
         self.nodes_built += 1
-        return EvalNode(pnode, (), table, chosen, chosen)
+        return EvalNode(eid, (), table, chosen, chosen)
 
-    def inner_node(self, pnode: ParseNode, ch1: EvalNode, ch2: EvalNode,
+    def inner_node(self, eid: int, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
-        """prefer = (state id, (i1, r1, i2, r2)): force that decomposition
+        """Each state's table is the ``TopKStructure`` fold of ``merge`` over
+        its pairs of ``combine(t1[i1], t2[i2])``, fused and pruned by r1 + r2
+        >= k.  prefer = (state id, (i1, r1, i2, r2)): force that decomposition
         to rank 0 of its state among value ties (survivor rule)."""
         tables1, tables2 = ch1.table, ch2.table
         k = self.structure.k
-        rel = self.relevant[pnode.nid]
+        rel = self.relevant[eid]
         n = len(rel)
         table, chosen, ids = [None] * n, [None] * n, [None] * n
         key_map: dict = {}
@@ -237,20 +303,18 @@ class Evaluator:
                 (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
                 for i1, r1, i2, r2 in chosen[q])
         self.nodes_built += 1
-        return EvalNode(pnode, (ch1, ch2), table, ids, chosen)
+        return EvalNode(eid, (ch1, ch2), table, ids, chosen)
 
     def build(self, tree: ParseTree, constraints: dict | None = None) -> EvalNode:
         constraints = constraints or {}
-        self._compute_relevant(tree)
-        built: list[EvalNode | None] = [None] * len(tree.nodes)
-        for pnode in tree.nodes:         # children precede parents
-            if pnode.is_leaf():
-                built[pnode.nid] = self.leaf_node(pnode, constraints)
+        built: list[EvalNode] = []
+        shape = self._contract(tree, self._compute_relevant(tree))
+        for eid, kids in enumerate(shape):
+            if kids:                     # children precede parents
+                built.append(self.inner_node(eid, built[kids[0]], built[kids[1]]))
             else:
-                c1, c2 = pnode.children
-                built[pnode.nid] = self.inner_node(
-                    pnode, built[c1.nid], built[c2.nid])
-        return built[tree.root.nid]
+                built.append(self.leaf_node(eid, constraints))
+        return built[-1]
 
 
 def root_values(root: EvalNode) -> tuple:
@@ -262,7 +326,7 @@ def reconstruct(root: EvalNode, state: int, rank: int) -> Solution:
     """The solution denoted by (state id, rank) at the root; value equals
     the corresponding table entry."""
     vals = root.table[state] if 0 <= state < len(root.table) else None
-    if vals is None or rank >= len(vals) or vals[rank] is INF:
+    if vals is None or not 0 <= rank < len(vals) or vals[rank] is INF:
         raise ValueError(f"no solution at state {state!r} rank {rank}")
     acc: set = set()
     stack = [(root, state, rank)]

@@ -85,7 +85,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         stats.max_order = tree.max_order
     v0 = initial_version(tree, automaton, cost)
     if stats is not None:
-        stats.state_count = sum(map(len, v0.evaluator.relevant.values()))
+        stats.state_count = sum(map(len, v0.evaluator.relevant))
     first, second = best_pair(v0)
     if first is INF:
         if stats is not None:

@@ -5,7 +5,10 @@ A ``Version`` is an immutable evaluation tree identified by its root node.
 re-evaluating only the root-to-leaf path (path copying) over the per-node
 tables ``Evaluator.build`` fixed, without calling the automaton; all other
 nodes are shared, so earlier versions keep answering queries unchanged.
-States are named by their per-node ids; the root state is id 0.
+The evaluation tree is the contracted parse tree, so a path holds only the
+pivot's leaf and joins with two live sides, never a unary step over a
+constant subtree.  States are named by their per-node ids; the root state
+is id 0.
 """
 from __future__ import annotations
 
@@ -113,7 +116,7 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
     leaf_entry = report.path[-1]
     leaf, (q, r) = leaf_entry[0], leaf_entry[pick]
     fs = leaf.chosen[q][r]
-    fresh = ev.leaf_node(leaf.pnode, constraints, prefer=(q, fs))
+    fresh = ev.leaf_node(leaf.eid, constraints, prefer=(q, fs))
     assert fresh.chosen[q][0] == fs, "survivor lost its state optimum"
 
     for i in range(len(report.path) - 2, -1, -1):
@@ -128,7 +131,7 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
         else:
             new1, new2 = ch1, fresh
             d = (q1, r1, q2, 0)
-        fresh = ev.inner_node(node.pnode, new1, new2, prefer=(q, d))
+        fresh = ev.inner_node(node.eid, new1, new2, prefer=(q, d))
         assert fresh.chosen[q][0] == d, "survivor lost its state optimum"
 
     copied = ev.nodes_built - before

@@ -7,6 +7,7 @@ from twkbest.core import CostModel, WeightedGraph, edge
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
+from twkbest.persist import best_pair, constrain, initial_version, pivot_query
 from twkbest.evaluation import (
     INF,
     Evaluator,
@@ -111,6 +112,8 @@ def test_reconstruct_k3_ranks():
     q = 0
     assert reconstruct(root, q, 0).sets[0] == frozenset({edge(1), edge(2)})
     assert reconstruct(root, q, 1).sets[0] == frozenset({edge(3)})
+    with pytest.raises(ValueError):
+        reconstruct(root, q, -1)
 
 
 def test_reconstruct_infinite_rank_rejected():
@@ -198,3 +201,87 @@ def test_reconstruction_value_matches_table():
             sol = reconstruct(root, q, r)
             from twkbest.core import solution_value
             assert solution_value(sol, cost) == v
+
+
+PROBLEMS = [
+    ("simple-path", dict(s=1, t=4)),
+    ("spanning-tree", {}),
+    ("vertex-cover", {}),
+    ("perfect-matching", {}),
+]
+
+
+def random_graphs(problem, count=15):
+    """The graph shapes of test_solution_ids_discriminate, seeded per problem."""
+    rng = random.Random(problem)
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        m = rng.randint(3, 10)
+        yield make_graph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)],
+                         [rng.randint(-5, 9) for _ in range(m)])
+
+
+def initial(g, problem, k=2, **kw):
+    t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
+    a = builtin(problem, g, **kw)
+    cost = CostModel.edge_costs(g) if a.kind == "e" else CostModel.vertex_costs(g)
+    return initial_version(t, a, cost, k), a, t
+
+
+def eval_depth(node):
+    return 0 if node.is_leaf() else 1 + max(map(eval_depth, node.children))
+
+
+@pytest.mark.parametrize("problem,kw", PROBLEMS)
+def test_evaluation_tree_is_contracted_full_binary_tree(problem, kw):
+    for g in random_graphs(problem):
+        v0, a, t = initial(g, problem, **kw)
+        live = sum(1 for u in t.nodes if u.is_leaf() and u.feature is not None
+                   and u.feature.kind == a.kind)
+        nodes = all_eval_nodes(v0.root)
+        assert len(nodes) == max(2 * live - 1, 1)
+        if live:
+            for u in nodes:
+                if u.is_leaf():
+                    assert v0.evaluator.feature[u.eid].kind == a.kind
+        depth = eval_depth(v0.root)
+        frontier, expansions = [v0], 0
+        while frontier and expansions < 10:
+            v = frontier.pop()
+            if best_pair(v)[1] is INF:
+                continue
+            expansions += 1
+            report = pivot_query(v)
+            for force in (True, False):
+                child = constrain(v, report, force)
+                assert child.copied_nodes == len(report.path) <= depth + 1
+                frontier.append(child)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("problem,kw", PROBLEMS)
+def test_engine_top_k_is_the_structure_fold(problem, kw, k):
+    """Each table the build fixes is criterion 7's operator applied to the
+    node's pairs: merge over pairs of combine, or lift at a leaf."""
+    st = TopKStructure(k)
+    for g in random_graphs(problem):
+        v0, _, _ = initial(g, problem, k=k, **kw)
+        relevant = v0.evaluator.relevant
+        for u in all_eval_nodes(v0.root):
+            for q, table in enumerate(relevant[u.eid]):
+                if u.is_leaf():
+                    want = st.lift(v for v, _ in table)
+                else:
+                    t1, t2 = u.children[0].table, u.children[1].table
+                    want = st.merge_identity
+                    for i1, i2 in table:
+                        want = st.merge(want, st.combine(t1[i1], t2[i2]))
+                assert u.table[q] == want
+
+
+def test_tree_without_live_leaves_is_one_featureless_leaf():
+    v0, _, _ = initial(make_graph(1, []), "spanning-tree")
+    root = v0.root
+    assert root.is_leaf() and v0.evaluator.feature[root.eid] is None
+    assert root.table == [(0, INF)]
+    assert reconstruct(root, 0, 0).sets[0] == frozenset()
