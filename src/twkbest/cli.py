@@ -16,6 +16,7 @@ from .core import (GraphFormatError, WeightedGraph, WeightOverflowError,
                    load_graph)
 from .treedec import balance, load_td, save_td, validate
 from .kbest import RunStats, k_best, k_best_direct
+from .problems import BUILTIN_PROBLEMS
 from . import oracle
 
 EXIT_OK = 0
@@ -24,14 +25,11 @@ EXIT_PARAMS = 2
 EXIT_ORACLE_DIFF = 3
 EXIT_BAD_TD = 4
 
-PROBLEM_CHOICES = ("simple-path", "spanning-tree", "perfect-matching",
-                   "vertex-cover")
-
 
 def _common_flags(p: argparse.ArgumentParser, with_problem: bool):
     p.add_argument("--graph", required=True, help=".gr input file")
     if with_problem:
-        p.add_argument("--problem", required=True, choices=PROBLEM_CHOICES)
+        p.add_argument("--problem", required=True, choices=BUILTIN_PROBLEMS)
         p.add_argument("--direct-k", type=int, metavar="N",
                        help="use the direct top-N evaluation instead of "
                             "best-first search (cross-check mode)")
@@ -197,8 +195,12 @@ def _run_balance(args) -> int:
         return EXIT_BAD_TD
     sd = balance(td, g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(save_td(sd.to_tree_decomposition(), g.n))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(save_td(sd.to_tree_decomposition(), g.n))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     print(f"width={sd.width} depth={sd.depth}")
     return EXIT_OK
 

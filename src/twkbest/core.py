@@ -122,13 +122,6 @@ class WeightedGraph:
         return self.edges[edge_index - 1]
 
 
-def undirected_shadow(g: WeightedGraph) -> WeightedGraph:
-    """Forget edge orientations; edge indices and weights are preserved."""
-    if not g.directed:
-        return g
-    return WeightedGraph(g.n, g.m, False, g.edges, dict(g.weights))
-
-
 @functools.total_ordering
 @dataclass(frozen=True)
 class Solution:

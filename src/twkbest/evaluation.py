@@ -109,7 +109,6 @@ class Evaluator:
         self.automaton = automaton
         self.cost = cost
         self.structure = structure
-        self.nodes_built = 0
         # eid -> per state id: its (child 1 id, child 2 id) pairs (inner
         # nodes) or its (value, feature set) entries sorted by value (leaves).
         # Only relevant states get an id: those reachable from the root state
@@ -241,12 +240,12 @@ class Evaluator:
 
     # -- node construction ----------------------------------------------
 
-    def leaf_node(self, eid: int, constraints: dict,
+    def leaf_node(self, eid: int, want: bool | None,
                   prefer: tuple | None = None) -> EvalNode:
-        """prefer = (state id, feature set): force that solution to rank 0
-        of its state among value ties (survivor rule)."""
+        """want: keep the entries with (True) or without (False) the leaf's
+        feature, or all (None).  prefer = (state id, feature set): force that
+        solution to rank 0 of its state among value ties (survivor rule)."""
         feat = self.feature[eid]
-        want = constraints.get(feat) if feat is not None else None
         k = self.structure.k
         rel = self.relevant[eid]
         table, chosen = [None] * len(rel), [None] * len(rel)
@@ -260,7 +259,6 @@ class Evaluator:
             top = entries[:k]            # entries are sorted by value
             table[i] = tuple(v for v, _ in top) + (INF,) * (k - len(top))
             chosen[i] = tuple(fs for _, fs in top)
-        self.nodes_built += 1
         return EvalNode(eid, (), table, chosen, chosen)
 
     def inner_node(self, eid: int, ch1: EvalNode, ch2: EvalNode,
@@ -302,7 +300,6 @@ class Evaluator:
             ids[q] = tuple(key_map.setdefault(
                 (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
                 for i1, r1, i2, r2 in chosen[q])
-        self.nodes_built += 1
         return EvalNode(eid, (ch1, ch2), table, ids, chosen)
 
     def build(self, tree: ParseTree, constraints: dict | None = None) -> EvalNode:
@@ -313,7 +310,8 @@ class Evaluator:
             if kids:                     # children precede parents
                 built.append(self.inner_node(eid, built[kids[0]], built[kids[1]]))
             else:
-                built.append(self.leaf_node(eid, constraints))
+                built.append(self.leaf_node(
+                    eid, constraints.get(self.feature[eid])))
         return built[-1]
 
 

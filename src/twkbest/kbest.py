@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import heapq
-import random
 from dataclasses import dataclass
 
 from .core import CostModel, Solution, WeightedGraph, check_int64
@@ -79,17 +78,15 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     range."""
     if k < 1:
         raise ValueError("k must be positive")
+    stats = RunStats() if stats is None else stats
     tree, automaton, cost = prepare(g, problem, s, t, td)
-    if stats is not None:
-        stats.tree_depth = tree.depth
-        stats.max_order = tree.max_order
+    stats.tree_depth = tree.depth
+    stats.max_order = tree.max_order
     v0 = initial_version(tree, automaton, cost)
-    if stats is not None:
-        stats.state_count = sum(map(len, v0.evaluator.relevant))
+    stats.state_count = sum(map(len, v0.evaluator.relevant))
     first, second = best_pair(v0)
     if first is INF:
-        if stats is not None:
-            stats.infeasible = True
+        stats.infeasible = True
         return []
     out = [(check_int64(first), solution_at(v0, 0) if want_solutions else None)]
     heap: list = []
@@ -107,15 +104,13 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         report = pivot_query(v)
         for force in (True, False):
             child = constrain(v, report, force)
-            if stats is not None:
-                stats.max_copies = max(stats.max_copies, child.copied_nodes)
+            stats.max_copies = max(stats.max_copies, child.copied_nodes)
             _, csecond = best_pair(child)
             if csecond is not INF:
                 heapq.heappush(heap, (csecond, seq, child))
                 seq += 1
-        if stats is not None:
-            stats.expansions += 1
-    if stats is not None and len(out) < k:
+        stats.expansions += 1
+    if len(out) < k:
         stats.exhausted_after = len(out)
     return out
 
@@ -132,42 +127,3 @@ def k_best_direct(g: WeightedGraph, problem: str, k: int,
     root = Evaluator(automaton, cost, TopKStructure(k)).build(tree)
     return [check_int64(v) for v in root_values(root)]
 
-
-def exhaust(g: WeightedGraph, problem: str, s: int | None = None,
-            t: int | None = None, order: str = "best",
-            rng: random.Random | None = None, cap: int = 100000,
-            td: TreeDecomposition | None = None):
-    """Expand the entire subproblem tree in a pluggable order and return
-    (sorted value list, all versions created).  The value multiset is
-    independent of the expansion order; used to exercise persistence."""
-    tree, automaton, cost = prepare(g, problem, s, t, td)
-    v0 = initial_version(tree, automaton, cost)
-    versions = [v0]
-    first, second = best_pair(v0)
-    if first is INF:
-        return [], versions
-    values = [first]
-    frontier = [v0] if second is not INF else []
-    steps = 0
-    while frontier:
-        steps += 1
-        if steps > cap:
-            raise RuntimeError("subproblem tree larger than cap")
-        if order == "best":
-            i = min(range(len(frontier)),
-                    key=lambda j: best_pair(frontier[j])[1])
-        elif order == "dfs":
-            i = len(frontier) - 1
-        elif order == "random":
-            i = (rng or random).randrange(len(frontier))
-        else:
-            raise ValueError(f"unknown order {order!r}")
-        v = frontier.pop(i)
-        values.append(best_pair(v)[1])
-        report = pivot_query(v)
-        for force in (True, False):
-            child = constrain(v, report, force)
-            versions.append(child)
-            if best_pair(child)[1] is not INF:
-                frontier.append(child)
-    return sorted(values), versions

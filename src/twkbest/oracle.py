@@ -198,22 +198,27 @@ def enumerate_paths(g: WeightedGraph, s: int, t: int,
                 out_edges.setdefault(b, []).append((i, a))
     cost = CostModel.edge_costs(g)
     found: list[tuple[int, Solution]] = []
-
-    def dfs(v: int, used_v: set[int], used_e: list[int]):
-        if v == t:
+    # Iterative DFS: a path may be longer than Python's recursion limit.
+    used_v, used_e = {s}, []
+    stack = [(s, iter(out_edges.get(s, ())))]
+    while stack:
+        v, steps = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            used_v.remove(v)
+            if used_e:
+                used_e.pop()
+            continue
+        i, w = step
+        if w == t:
             if len(found) >= limit:
                 raise OracleCapExceeded(f"more than {limit} simple paths")
-            sol = make_solution(frozenset(edge(i) for i in used_e))
+            sol = make_solution(frozenset(edge(j) for j in used_e + [i]))
             found.append((solution_value(sol, cost), sol))
-            return
-        for i, w in out_edges.get(v, ()):
-            if w not in used_v:
-                used_v.add(w)
-                used_e.append(i)
-                dfs(w, used_v, used_e)
-                used_e.pop()
-                used_v.remove(w)
-
-    dfs(s, {s}, [])
+        elif w not in used_v:
+            used_v.add(w)
+            used_e.append(i)
+            stack.append((w, iter(out_edges.get(w, ()))))
     found.sort(key=lambda p: (p[0], p[1].encoding()))
     return found

@@ -1,10 +1,13 @@
 """Persistent evaluation trees.
 
 A ``Version`` is an immutable evaluation tree identified by its root node.
-``constrain`` derives a new version by filtering one leaf's feature sets and
+``constrain`` derives a new version by forcing or excluding the pivot
+feature at its own leaf, the only one whose feature sets name it, and
 re-evaluating only the root-to-leaf path (path copying) over the per-node
 tables ``Evaluator.build`` fixed, without calling the automaton; all other
 nodes are shared, so earlier versions keep answering queries unchanged.
+A feature is constrained once: every solution of the new version agrees on
+it, so no version derived from that one pivots on it again.
 The evaluation tree is the contracted parse tree, so a path holds only the
 pivot's leaf and joins with two live sides, never a unary step over a
 constant subtree.  States are named by their per-node ids; the root state
@@ -26,9 +29,11 @@ class VersionError(ValueError):
 
 @dataclass(frozen=True)
 class Version:
+    """An evaluation tree named by its root.  It keeps no constraint list:
+    each constraint lives in the filtered table of its feature's leaf."""
+
     evaluator: Evaluator
     root: EvalNode
-    constraints: dict          # FeatureId -> True (forced) / False (excluded)
     copied_nodes: int = 0      # nodes allocated to create this version
 
     @property
@@ -43,17 +48,11 @@ class PivotReport:
     path: tuple
     best_contains: bool        # pivot lies in the best (rank-0) solution
 
-    @property
-    def leaf(self) -> EvalNode:
-        return self.path[-1][0]
-
 
 def initial_version(tree: ParseTree, automaton: EvalAutomaton,
                     cost: CostModel, k: int = 2) -> Version:
     ev = Evaluator(automaton, cost, TopKStructure(k))
-    before = ev.nodes_built
-    root = ev.build(tree)
-    return Version(ev, root, {}, ev.nodes_built - before)
+    return Version(ev, ev.build(tree), len(ev.relevant))
 
 
 def best_pair(v: Version) -> tuple:
@@ -97,26 +96,23 @@ def pivot_query(v: Version) -> PivotReport:
 
 def constrain(v: Version, report: PivotReport, force: bool) -> Version:
     """New version with the pivot feature forced into / excluded from all
-    solutions.  Copies exactly the nodes on the report's path; the surviving
-    solution (the one of v's best/second consistent with the constraint) is
-    re-ranked first so it is the new version's best.  At the leaf the
-    survivor is named by its feature set, which is also its solution ID."""
+    solutions: the path's leaf introduces that feature, and only its entries
+    are filtered.  Copies exactly the nodes on the report's path; the
+    surviving solution (the one of v's best/second consistent with the
+    constraint) is re-ranked first so it is the new version's best.  At the
+    leaf the survivor is named by its feature set, which is also its
+    solution ID."""
     if not report.path or report.path[0][0] is not v.root:
         raise VersionError("report does not belong to this version")
-    if report.feature in v.constraints:
-        raise VersionError("feature already constrained")
     survivor_is_best = report.best_contains == force
     pick = 1 if survivor_is_best else 2
-
-    constraints = dict(v.constraints)
-    constraints[report.feature] = force
     ev = v.evaluator
-    before = ev.nodes_built
 
     leaf_entry = report.path[-1]
     leaf, (q, r) = leaf_entry[0], leaf_entry[pick]
     fs = leaf.chosen[q][r]
-    fresh = ev.leaf_node(leaf.eid, constraints, prefer=(q, fs))
+    assert ev.feature[leaf.eid] == report.feature
+    fresh = ev.leaf_node(leaf.eid, force, prefer=(q, fs))
     assert fresh.chosen[q][0] == fs, "survivor lost its state optimum"
 
     for i in range(len(report.path) - 2, -1, -1):
@@ -134,9 +130,7 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
         fresh = ev.inner_node(node.eid, new1, new2, prefer=(q, d))
         assert fresh.chosen[q][0] == d, "survivor lost its state optimum"
 
-    copied = ev.nodes_built - before
-    assert copied == len(report.path)
-    child = Version(ev, fresh, constraints, copied)
+    child = Version(ev, fresh, len(report.path))
     survivor_value = v.root.table[0][0 if survivor_is_best else 1]
     assert child.root.table[0][0] == survivor_value
     return child

@@ -3,9 +3,9 @@
 An automaton assigns to every parse node a finite set of states.  A state
 summarizes everything about a partial solution (over the features introduced
 in the node's subtree) that the rest of the graph can observe through the
-node's sources.  Inner nodes combine child states through ``delta``; each
-output state's complete list of fitting child-state pairs drives the
-evaluation module.
+node's sources.  Inner nodes combine child states through ``delta``, and
+leaves list their feature sets per state in ``leaf_table``; the evaluation
+module calls both once per parse node, at build.
 
 State spaces:
 
@@ -24,9 +24,7 @@ State spaces:
 """
 from __future__ import annotations
 
-from itertools import product
-
-from .core import EDGE, VERTEX, FeatureId, WeightedGraph, edge, vertex
+from .core import EDGE, VERTEX, WeightedGraph
 from .algebra import ParseNode
 
 BUILTIN_PROBLEMS = ("simple-path", "spanning-tree", "perfect-matching", "vertex-cover")
@@ -76,21 +74,6 @@ class EvalAutomaton:
     def leaf_table(self, node: ParseNode) -> dict:
         """state -> list of feature sets denoted by this leaf in that state."""
         raise NotImplementedError
-
-    def states(self, order: int):
-        """All syntactically valid states at the given order."""
-        raise NotImplementedError
-
-    def transitions(self, sig, q, order1: int, order2: int):
-        """Complete fitting-pair list for output state q, deterministic order."""
-        out = [
-            (q1, q2)
-            for q1 in self.states(order1)
-            for q2 in self.states(order2)
-            if self.delta(sig, q1, q2) == q
-        ]
-        out.sort(key=lambda p: (state_key(p[0]), state_key(p[1])))
-        return out
 
 
 def _shift_pairs(slots, removed):
@@ -297,59 +280,6 @@ class SimplePathAutomaton(EvalAutomaton):
             return {((0, 0), 0): [empty], taken: [frozenset({e})]}
         raise ValueError(f"not a leaf: {node.op}")
 
-    def states(self, order: int):
-        positions = range(order)
-        out = []
-        for matched in _matchings(order):
-            in_pair = {p for ij in matched for p in ij}
-            free = [p for p in positions if p not in in_pair]
-            singles = ((0, 2, ("hs",), ("ht",)) if self.directed
-                       else (0, 2, ("h",)))
-            for combo in product(singles, repeat=len(free)):
-                base = [None] * order
-                for k, p in enumerate(free):
-                    base[p] = combo[k]
-                orientations = [(0, 1), (1, 0)] if self.directed else [(0, 1)]
-                for orient in product(orientations, repeat=len(matched)):
-                    slots = list(base)
-                    for (i, j), (a, b) in zip(matched, orient):
-                        if self.directed:
-                            start, end = (i, j) if (a, b) == (0, 1) else (j, i)
-                            slots[start] = ("s", end)
-                            slots[end] = ("t", start)
-                        else:
-                            slots[i] = ("p", j)
-                            slots[j] = ("p", i)
-                    for c in (0, 1):
-                        st = self._prune(slots, c)
-                        if st is not None and st not in out:
-                            out.append(st)
-        out.sort(key=state_key)
-        return out
-
-
-def _matchings(order: int):
-    """All sets of disjoint position pairs (i < j)."""
-    def rec(avail):
-        if len(avail) < 2:
-            yield []
-            return
-        yield []
-        first = avail[0]
-        rest = avail[1:]
-        for k, second in enumerate(rest):
-            for sub in rec(rest[:k] + rest[k + 1:]):
-                yield [(first, second)] + sub
-        for sub in rec(rest):
-            if sub:
-                yield sub
-    seen = set()
-    for m in rec(list(range(order))):
-        key = frozenset(m)
-        if key not in seen:
-            seen.add(key)
-            yield sorted(m)
-
 
 class SpanningTreeAutomaton(EvalAutomaton):
     kind = EDGE
@@ -420,24 +350,6 @@ class SpanningTreeAutomaton(EvalAutomaton):
             return {((0,), (1,)): [empty], ((0, 1),): [frozenset({e})]}
         raise ValueError(f"not a leaf: {node.op}")
 
-    def states(self, order: int):
-        if order == 0:
-            return [(), DONE]
-        out = [self._canon(p) for p in _partitions(list(range(order)))]
-        out.sort(key=state_key)
-        return out
-
-
-def _partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        for k in range(len(sub)):
-            yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
-        yield [[first]] + sub
-
 
 class PerfectMatchingAutomaton(EvalAutomaton):
     kind = EDGE
@@ -483,9 +395,6 @@ class PerfectMatchingAutomaton(EvalAutomaton):
             return {(0, 0): [empty], (1, 1): [frozenset({e})]}
         raise ValueError(f"not a leaf: {node.op}")
 
-    def states(self, order: int):
-        return [bits for bits in product((0, 1), repeat=order)]
-
 
 class VertexCoverAutomaton(EvalAutomaton):
     kind = VERTEX
@@ -529,9 +438,6 @@ class VertexCoverAutomaton(EvalAutomaton):
             # at least one endpoint promises to be in the cover
             return {(0, 1): [empty], (1, 0): [empty], (1, 1): [empty]}
         raise ValueError(f"not a leaf: {node.op}")
-
-    def states(self, order: int):
-        return [bits for bits in product((0, 1), repeat=order)]
 
 
 def builtin(problem: str, g: WeightedGraph, s: int | None = None,

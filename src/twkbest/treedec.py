@@ -17,14 +17,10 @@ class TreeDecompositionError(ValueError):
 
 @dataclass
 class TreeDecomposition:
-    """Bags indexed by node id, plus the tree edges between them.
-
-    ``root`` is optional; balancing roots the tree itself when unset.
-    """
+    """Bags indexed by node id, plus the tree edges between them."""
 
     bags: dict[int, frozenset[int]]
     tree_edges: set[tuple[int, int]] = field(default_factory=set)
-    root: int | None = None
 
     def __post_init__(self):
         self.tree_edges = {tuple(sorted(e)) for e in self.tree_edges}
@@ -33,10 +29,13 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags.values()), default=0) - 1
 
     def neighbors(self) -> dict[int, list[int]]:
+        """Adjacency of the declared bags; an edge naming an undeclared bag
+        is left out (``validate`` reports it)."""
         adj: dict[int, list[int]] = {b: [] for b in self.bags}
         for a, b in sorted(self.tree_edges):
-            adj[a].append(b)
-            adj[b].append(a)
+            if a in adj and b in adj:
+                adj[a].append(b)
+                adj[b].append(a)
         return adj
 
 
@@ -255,7 +254,7 @@ class ShallowDecomposition:
 
     def to_tree_decomposition(self) -> TreeDecomposition:
         edges = {tuple(sorted((p, c))) for p, cs in self.children.items() for c in cs}
-        return TreeDecomposition(dict(self.bags), edges, self.root)
+        return TreeDecomposition(dict(self.bags), edges)
 
 
 def _binarize(bags: dict[int, frozenset[int]], children: dict[int, list[int]],
@@ -292,7 +291,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     adj = {u: list(vs) for u, vs in td.neighbors().items()}
 
     # Root at the smallest bag id and binarize before splitting.
-    root = td.root if td.root in bags else min(bags)
+    root = min(bags)
     children: dict[int, list[int]] = {u: [] for u in bags}
     seen = {root}
     stack = [root]

@@ -211,6 +211,41 @@ def test_bag_vertex_outside_graph_exits_4(tmp_path, capsys):
         assert "vertex 99 outside 1..3" in out + err
 
 
+def test_tree_edge_to_undeclared_bag_exits_4(tmp_path, capsys):
+    gr = tmp_path / "p2.gr"
+    gr.write_text("p kbest 2 1 0\ne 1 2 1\n")
+    td = tmp_path / "dangling.td"
+    td.write_text("s td 1 2 2\nb 1 1 2\n1 5\n")
+    files = ("--graph", str(gr), "--td", str(td))
+    for argv in (("validate",), ("balance",),
+                 ("ksp", "--source", "1", "--target", "2", "-k", "2"),
+                 ("solve", "--problem", "vertex-cover", "-k", "2")):
+        code, out, err = run(capsys, argv[0], *files, *argv[1:])
+        assert code == 4, argv
+        assert "tree edge (1,5) references unknown bag" in out + err
+
+
+def test_balance_unwritable_output_exits_1(tmp_path, k3_file, capsys):
+    td = tmp_path / "k3.td"
+    td.write_text(K3_TD)
+    code, out, err = run(capsys, "balance", "--graph", k3_file, "--td",
+                         str(td), "-o", str(tmp_path / "missing" / "out.td"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oracle_check_on_a_path_longer_than_the_recursion_limit(
+        tmp_path, capsys):
+    p = tmp_path / "path1200.gr"
+    p.write_text("p kbest 1200 1199 0\n"
+                 + "".join(f"e {i} {i + 1} 1\n" for i in range(1, 1200)))
+    code, out, err = run(capsys, "ksp", "--graph", str(p), "--source", "1",
+                         "--target", "1200", "-k", "2", "--oracle-check")
+    assert code == 0, err
+    assert out == "1199\n"
+
+
 # Expected --solutions output among tied values, pinned so that the order in
 # which tied solutions come out cannot drift.
 PATH12 = "p kbest 12 11 0\n" + "".join(f"e {i} {i + 1} 1\n"

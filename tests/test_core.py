@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from twkbest.core import (
     EDGE, VERTEX, CostModel, FeatureId, GraphFormatError, WeightOverflowError,
     check_int64, edge, load_graph, make_solution, parse_feature, save_graph, solution_value,
-    undirected_shadow, vertex,
+    vertex,
 )
 
 K3_TEXT = """p kbest 3 3 0
@@ -50,15 +50,6 @@ def test_roundtrip_stable():
     assert save_graph(g) == K3_TEXT
     text2 = "c a comment\n" + K3_TEXT
     assert save_graph(load_graph(text2)) == K3_TEXT
-
-
-def test_undirected_shadow():
-    g = load_graph("p kbest 2 2 1\ne 1 2 3\ne 2 1 4\n")
-    sh = undirected_shadow(g)
-    assert not sh.directed
-    assert sh.edges == g.edges and sh.weight(edge(2)) == 4
-    und = load_graph(K3_TEXT)
-    assert undirected_shadow(und) is und
 
 
 def test_solution_value():

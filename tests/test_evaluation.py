@@ -167,12 +167,7 @@ def all_eval_nodes(root):
     ("perfect-matching", {}),
 ])
 def test_solution_ids_discriminate(problem, kw):
-    rng = random.Random(hash(problem) & 0xFFFF)
-    for _ in range(15):
-        n = rng.randint(4, 7)
-        m = rng.randint(3, 10)
-        g = make_graph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)],
-                       [rng.randint(-5, 9) for _ in range(m)])
+    for g in random_graphs(problem):
         root, a, _ = build(g, problem, k=2, **kw)
         for node in all_eval_nodes(root):
             den = _denotations(node)
@@ -212,7 +207,7 @@ PROBLEMS = [
 
 
 def random_graphs(problem, count=15):
-    """The graph shapes of test_solution_ids_discriminate, seeded per problem."""
+    """Small random multigraphs with weights in -5..9, seeded per problem."""
     rng = random.Random(problem)
     for _ in range(count):
         n = rng.randint(4, 7)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from twkbest.core import WeightOverflowError, WeightedGraph, edge
-from twkbest.kbest import RunStats, exhaust, k_best, k_best_direct
+from twkbest.kbest import RunStats, k_best, k_best_direct
 from twkbest import oracle
 
 
@@ -78,18 +78,6 @@ def test_direct_k_limit():
         k_best_direct(K3, "spanning-tree", 65)
     with pytest.raises(ValueError):
         k_best(K3, "spanning-tree", 0)
-
-
-def test_exhaust_order_independent():
-    g = make_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
-                   [2, 7, 1, 8, 2, 8])
-    ref, _ = exhaust(g, "spanning-tree", order="best")
-    pred, kind = oracle.predicate_for("spanning-tree")
-    assert ref == [v for v, _ in oracle.enumerate_sorted(g, pred, kind)]
-    for order in ("dfs", "random"):
-        got, _ = exhaust(g, "spanning-tree", order=order,
-                         rng=random.Random(4))
-        assert got == ref
 
 
 def test_full_sequence_matches_oracle():

@@ -12,7 +12,6 @@ from twkbest.problems import (
     BUILTIN_PROBLEMS,
     SpanningTreeAutomaton,
     builtin,
-    state_key,
 )
 from twkbest import oracle
 
@@ -117,29 +116,11 @@ def test_spanning_tree_fuse_merges_blocks():
     sig = ("fuse", 0, 1)
     assert a.delta(sig, ((0,), (1,)), ((0,),)) == ((0,),)
     assert a.delta(sig, ((0, 1),), ((0,),)) is None
-    pairs = a.transitions(sig, ((0,),), 2, 1)
-    assert (((0,), (1,)), ((0,),)) in pairs
-    assert all(q1 != ((0, 1),) for q1, _ in pairs)
-
-
-def test_transitions_complete_and_deterministic():
-    g = P3
-    tree = build_parse_tree(balance(heuristic_decomposition(g), g), g)
-    a = builtin("simple-path", g, 1, 3)
-    node = next(n for n in tree.nodes if n.op[0] == "join")
-    sig = a.signature(node)
-    r1 = node.children[0].order
-    r2 = node.children[1].order
-    for q in a.states(r1 + r2):
-        pairs = a.transitions(sig, q, r1, r2)
-        assert pairs == sorted(pairs, key=lambda p: (state_key(p[0]), state_key(p[1])))
-        for q1, q2 in pairs:
-            assert a.delta(sig, q1, q2) == q
 
 
 @pytest.mark.parametrize("problem", BUILTIN_PROBLEMS)
 def test_small_graph_sweep(problem):
-    rng = random.Random(hash(problem) & 0xFFFF)
+    rng = random.Random(problem)
     for _ in range(25):
         n = rng.randint(1, 5)
         m = rng.randint(0, 4)

@@ -56,6 +56,13 @@ def test_validate_bag_vertex_outside_graph():
     assert "bag 3: vertex 0 outside 1..3" in rep.violations
 
 
+def test_validate_tree_edge_to_undeclared_bag():
+    g = WeightedGraph(2, 1, False, ((1, 2),))
+    rep = validate(load_td("s td 1 2 2\nb 1 1 2\n1 5\n"), g)
+    assert not rep.ok
+    assert "tree edge (1,5) references unknown bag" in rep.violations
+
+
 def test_td_roundtrip():
     td = load_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     assert td.bags == {1: frozenset({1, 2}), 2: frozenset({2, 3})}
