@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EDGE, VERTEX, FeatureId, WeightedGraph, edge, vertex
+from .core import FeatureId, WeightedGraph, edge, vertex
 from .treedec import ShallowDecomposition
 
 

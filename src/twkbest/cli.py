@@ -105,8 +105,7 @@ class _BadTd(Exception):
 def _emit(results, want_solutions: bool, out):
     for value, sol in results:
         if want_solutions:
-            sets = [[repr(f) for f in sorted(s, key=lambda f: f.sort_key)]
-                    for s in sol.sets]
+            sets = [[repr(f) for f in sorted(sol)]]
             print(json.dumps({"value": value, "sets": sets}), file=out)
         else:
             print(value, file=out)

@@ -1,14 +1,14 @@
-"""Graph, feature, and cost model shared by the whole pipeline.
+"""Graph and features shared by the whole pipeline.
 
-Weights are 64-bit signed integers.  Sums are exact Python integers; a
-value that is reported outside the 64-bit range raises
-:class:`WeightOverflowError` instead of wrapping.
+A solution is a ``frozenset`` of features and its value is
+``WeightedGraph.value`` of it.  Weights are 64-bit signed integers.  Sums are
+exact Python integers; a value that is reported outside the 64-bit range
+raises :class:`WeightOverflowError` instead of wrapping.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 VERTEX = "v"
 EDGE = "e"
@@ -38,48 +38,37 @@ def check_int64(s: int) -> int:
     return s
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class FeatureId:
-    """A vertex or edge of the input graph, identified by kind and 1-based index.
+class FeatureId(NamedTuple):
+    """A vertex (rank 0) or edge (rank 1) of the input graph and its 1-based
+    index.  Tuple order is the canonical order: all vertices before all
+    edges, then by index; solution tie keys and pivot selection use it."""
 
-    The total order is: all vertices before all edges, then by index.  Every
-    canonical ordering in the pipeline (solution encodings, pivot selection)
-    uses this order.
-    """
-
-    kind: str
+    rank: int
     index: int
 
-    def __post_init__(self):
-        if self.kind not in (VERTEX, EDGE):
-            raise ValueError(f"bad feature kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"feature index must be positive, got {self.index}")
-
     @property
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.kind == VERTEX else 1, self.index)
-
-    def __lt__(self, other: "FeatureId") -> bool:
-        return self.sort_key < other.sort_key
+    def kind(self) -> str:
+        return EDGE if self.rank else VERTEX
 
     def __repr__(self):
         return f"{self.kind}{self.index}"
 
 
 def vertex(i: int) -> FeatureId:
-    return FeatureId(VERTEX, i)
+    return FeatureId(0, i)
 
 
 def edge(i: int) -> FeatureId:
-    return FeatureId(EDGE, i)
+    return FeatureId(1, i)
 
 
 def parse_feature(name: str) -> FeatureId:
-    if len(name) < 2 or name[0] not in (VERTEX, EDGE):
+    """The feature named as ``repr`` prints it: ``v<i>`` or ``e<i>``, i >= 1."""
+    kind, digits = name[:1], name[1:]
+    if (kind not in (VERTEX, EDGE) or not (digits.isascii() and digits.isdigit())
+            or int(digits) < 1):
         raise ValueError(f"bad feature name {name!r}")
-    return FeatureId(name[0], int(name[1:]))
+    return (edge if kind == EDGE else vertex)(int(digits))
 
 
 @dataclass(frozen=True)
@@ -112,6 +101,11 @@ class WeightedGraph:
     def weight(self, fid: FeatureId) -> int:
         return self.weights.get(fid, 0)
 
+    def value(self, features) -> int:
+        """Exact sum of the features' weights; not range-checked, since only
+        reported values must fit in 64 bits."""
+        return sum(self.weights.get(f, 0) for f in features)
+
     def vertex_features(self) -> Iterator[FeatureId]:
         return (vertex(i) for i in range(1, self.n + 1))
 
@@ -120,70 +114,6 @@ class WeightedGraph:
 
     def endpoints(self, edge_index: int) -> tuple[int, int]:
         return self.edges[edge_index - 1]
-
-
-@functools.total_ordering
-@dataclass(frozen=True)
-class Solution:
-    """One feature set per free variable, compared by canonical encoding."""
-
-    sets: tuple[frozenset[FeatureId], ...]
-
-    def encoding(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple(sorted(f.sort_key for f in s)) for s in self.sets)
-
-    def __lt__(self, other: "Solution") -> bool:
-        return self.encoding() < other.encoding()
-
-    def __repr__(self):
-        parts = []
-        for s in self.sets:
-            parts.append("{" + ",".join(str(f) for f in sorted(s)) + "}")
-        return "(" + ";".join(parts) + ")"
-
-
-def make_solution(*sets: Iterable[FeatureId]) -> Solution:
-    return Solution(tuple(frozenset(s) for s in sets))
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Feature costs of the one set variable: ``cost[feature]``.
-
-    ``kind`` is VERTEX or EDGE; costs are only defined for features of that
-    kind.  Features absent from ``cost`` are free (cost 0).
-    """
-
-    kind: str
-    cost: dict[FeatureId, int]
-
-    def __post_init__(self):
-        for fid in self.cost:
-            if fid.kind != self.kind:
-                raise ValueError(f"cost defined for {fid} but the variable has type {self.kind}")
-
-    @staticmethod
-    def edge_costs(g: WeightedGraph) -> "CostModel":
-        """Edge-set variable priced by the graph's edge weights."""
-        cost = {edge(i): g.weight(edge(i)) for i in range(1, g.m + 1)}
-        return CostModel(EDGE, cost)
-
-    @staticmethod
-    def vertex_costs(g: WeightedGraph) -> "CostModel":
-        """Vertex-set variable priced by the graph's vertex weights."""
-        cost = {vertex(i): g.weight(vertex(i)) for i in range(1, g.n + 1)}
-        return CostModel(VERTEX, cost)
-
-
-def solution_value(s: Solution, c: CostModel) -> int:
-    """Exact integer value of a solution; not range-checked, since only
-    reported values must fit in 64 bits."""
-    if len(s.sets) != 1:
-        raise ValueError(f"solution has {len(s.sets)} sets, cost model expects 1")
-    for fid in s.sets[0]:
-        if fid.kind != c.kind:
-            raise ValueError(f"feature {fid} does not match variable type {c.kind}")
-    return sum(c.cost.get(fid, 0) for fid in s.sets[0])
 
 
 def load_graph(text: str) -> WeightedGraph:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from operator import itemgetter
 
-from .core import CostModel, Solution, make_solution, solution_value
+from .core import FeatureId
 from .algebra import ParseTree
 from .problems import EvalAutomaton, state_key
 
@@ -104,11 +104,9 @@ class Evaluator:
     child state has gone, and never calls the automaton.
     """
 
-    def __init__(self, automaton: EvalAutomaton, cost: CostModel,
-                 structure: TopKStructure):
+    def __init__(self, automaton: EvalAutomaton, k: int):
         self.automaton = automaton
-        self.cost = cost
-        self.structure = structure
+        self.k = k
         # eid -> per state id: its (child 1 id, child 2 id) pairs (inner
         # nodes) or its (value, feature set) entries sorted by value (leaves).
         # Only relevant states get an id: those reachable from the root state
@@ -131,8 +129,7 @@ class Evaluator:
 
         @functools.cache
         def rank(fs):                    # a leaf entry's sort key
-            sol = make_solution(fs)
-            return solution_value(sol, self.cost), sol.encoding()
+            return tree.graph.value(fs), sorted(fs)
 
         pair_memo: dict = {}
         realizable: dict[int, frozenset] = {}
@@ -246,7 +243,7 @@ class Evaluator:
         feature, or all (None).  prefer = (state id, feature set): force that
         solution to rank 0 of its state among value ties (survivor rule)."""
         feat = self.feature[eid]
-        k = self.structure.k
+        k = self.k
         rel = self.relevant[eid]
         table, chosen = [None] * len(rel), [None] * len(rel)
         for i, entries in enumerate(rel):
@@ -268,7 +265,7 @@ class Evaluator:
         >= k.  prefer = (state id, (i1, r1, i2, r2)): force that decomposition
         to rank 0 of its state among value ties (survivor rule)."""
         tables1, tables2 = ch1.table, ch2.table
-        k = self.structure.k
+        k = self.k
         rel = self.relevant[eid]
         n = len(rel)
         table, chosen, ids = [None] * n, [None] * n, [None] * n
@@ -320,9 +317,9 @@ def root_values(root: EvalNode) -> tuple:
     return () if vals is None else tuple(v for v in vals if v is not INF)
 
 
-def reconstruct(root: EvalNode, state: int, rank: int) -> Solution:
-    """The solution denoted by (state id, rank) at the root; value equals
-    the corresponding table entry."""
+def reconstruct(root: EvalNode, state: int, rank: int) -> frozenset[FeatureId]:
+    """The feature set denoted by (state id, rank) at the root; its
+    ``WeightedGraph.value`` equals the corresponding table entry."""
     vals = root.table[state] if 0 <= state < len(root.table) else None
     if vals is None or not 0 <= rank < len(vals) or vals[rank] is INF:
         raise ValueError(f"no solution at state {state!r} rank {rank}")
@@ -337,4 +334,4 @@ def reconstruct(root: EvalNode, state: int, rank: int) -> Solution:
             q1, r1, q2, r2 = d
             stack.append((node.children[0], q1, r1))
             stack.append((node.children[1], q2, r2))
-    return make_solution(frozenset(acc))
+    return frozenset(acc)

@@ -14,10 +14,10 @@ import gc
 import heapq
 from dataclasses import dataclass
 
-from .core import CostModel, Solution, WeightedGraph, check_int64
+from .core import FeatureId, WeightedGraph, check_int64
 from .treedec import TreeDecomposition, balance, heuristic_decomposition
 from .algebra import build_parse_tree
-from .evaluation import INF, Evaluator, TopKStructure, root_values
+from .evaluation import INF, Evaluator, root_values
 from .problems import builtin
 from .persist import (
     best_pair,
@@ -48,10 +48,7 @@ def prepare(g: WeightedGraph, problem: str, s: int | None = None,
         td = heuristic_decomposition(g)
     sd = balance(td, g)
     tree = build_parse_tree(sd, g)
-    automaton = builtin(problem, g, s, t)
-    cost = (CostModel.edge_costs(g) if automaton.kind == "e"
-            else CostModel.vertex_costs(g))
-    return tree, automaton, cost
+    return tree, builtin(problem, g, s, t)
 
 
 @contextlib.contextmanager
@@ -71,7 +68,8 @@ def _gc_paused():
 def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
            t: int | None = None, want_solutions: bool = False,
            td: TreeDecomposition | None = None,
-           stats: RunStats | None = None) -> list[tuple[int, Solution | None]]:
+           stats: RunStats | None = None,
+           ) -> list[tuple[int, frozenset[FeatureId] | None]]:
     """The first min(k, m) values of the nondecreasing feasible-value
     sequence; with want_solutions, distinct feasible solutions achieving
     them.  Raises WeightOverflowError if one of them leaves the 64-bit
@@ -79,10 +77,10 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     if k < 1:
         raise ValueError("k must be positive")
     stats = RunStats() if stats is None else stats
-    tree, automaton, cost = prepare(g, problem, s, t, td)
+    tree, automaton = prepare(g, problem, s, t, td)
     stats.tree_depth = tree.depth
     stats.max_order = tree.max_order
-    v0 = initial_version(tree, automaton, cost)
+    v0 = initial_version(tree, automaton)
     stats.state_count = sum(map(len, v0.evaluator.relevant))
     first, second = best_pair(v0)
     if first is INF:
@@ -123,7 +121,7 @@ def k_best_direct(g: WeightedGraph, problem: str, k: int,
     no persistence involved."""
     if not (1 <= k <= DIRECT_K_LIMIT):
         raise ValueError(f"direct mode supports 1 <= k <= {DIRECT_K_LIMIT}")
-    tree, automaton, cost = prepare(g, problem, s, t, td)
-    root = Evaluator(automaton, cost, TopKStructure(k)).build(tree)
+    tree, automaton = prepare(g, problem, s, t, td)
+    root = Evaluator(automaton, k).build(tree)
     return [check_int64(v) for v in root_values(root)]
 

@@ -8,18 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import (
-    EDGE,
-    VERTEX,
-    FeatureId,
-    Solution,
-    WeightedGraph,
-    CostModel,
-    edge,
-    make_solution,
-    solution_value,
-    vertex,
-)
+from .core import EDGE, VERTEX, FeatureId, WeightedGraph, edge, vertex
 
 ENUMERATION_CAP = 1 << 24
 
@@ -164,28 +153,25 @@ def enumerate_sorted(
     g: WeightedGraph,
     predicate,
     kind: str,
-    cost: CostModel | None = None,
     required: frozenset[FeatureId] = frozenset(),
     forbidden: frozenset[FeatureId] = frozenset(),
-) -> list[tuple[int, Solution]]:
-    """All feasible single-variable solutions respecting the feature
-    constraints, sorted by (value, canonical encoding)."""
-    if cost is None:
-        cost = CostModel.edge_costs(g) if kind == EDGE else CostModel.vertex_costs(g)
+) -> list[tuple[int, frozenset[FeatureId]]]:
+    """All feasible feature sets of the given kind respecting the feature
+    constraints, as (value, set) sorted by value, then by ``sorted(set)``."""
     subsets = _edge_subsets(g) if kind == EDGE else _vertex_subsets(g)
     out = []
     for fs in subsets:
         if not required <= fs or fs & forbidden:
             continue
         if predicate(g, fs):
-            sol = make_solution(fs)
-            out.append((solution_value(sol, cost), sol))
-    out.sort(key=lambda p: (p[0], p[1].encoding()))
+            out.append((g.value(fs), fs))
+    out.sort(key=lambda p: (p[0], sorted(p[1])))
     return out
 
 
 def enumerate_paths(g: WeightedGraph, s: int, t: int,
-                    limit: int = ENUMERATION_CAP) -> list[tuple[int, Solution]]:
+                    limit: int = ENUMERATION_CAP,
+                    ) -> list[tuple[int, frozenset[FeatureId]]]:
     """All simple s-t paths by DFS; feasible for larger graphs than subset
     enumeration.  Directed graphs follow edge orientation."""
     if s == t:
@@ -196,8 +182,7 @@ def enumerate_paths(g: WeightedGraph, s: int, t: int,
             out_edges.setdefault(a, []).append((i, b))
             if not g.directed:
                 out_edges.setdefault(b, []).append((i, a))
-    cost = CostModel.edge_costs(g)
-    found: list[tuple[int, Solution]] = []
+    found: list[tuple[int, frozenset[FeatureId]]] = []
     # Iterative DFS: a path may be longer than Python's recursion limit.
     used_v, used_e = {s}, []
     stack = [(s, iter(out_edges.get(s, ())))]
@@ -214,11 +199,11 @@ def enumerate_paths(g: WeightedGraph, s: int, t: int,
         if w == t:
             if len(found) >= limit:
                 raise OracleCapExceeded(f"more than {limit} simple paths")
-            sol = make_solution(frozenset(edge(j) for j in used_e + [i]))
-            found.append((solution_value(sol, cost), sol))
+            fs = frozenset(edge(j) for j in used_e + [i])
+            found.append((g.value(fs), fs))
         elif w not in used_v:
             used_v.add(w)
             used_e.append(i)
             stack.append((w, iter(out_edges.get(w, ()))))
-    found.sort(key=lambda p: (p[0], p[1].encoding()))
+    found.sort(key=lambda p: (p[0], sorted(p[1])))
     return found

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CostModel, FeatureId, Solution
+from .core import FeatureId
 from .algebra import ParseTree
-from .evaluation import INF, EvalNode, Evaluator, TopKStructure, reconstruct
+from .evaluation import INF, EvalNode, Evaluator, reconstruct
 from .problems import EvalAutomaton
 
 
@@ -50,8 +50,8 @@ class PivotReport:
 
 
 def initial_version(tree: ParseTree, automaton: EvalAutomaton,
-                    cost: CostModel, k: int = 2) -> Version:
-    ev = Evaluator(automaton, cost, TopKStructure(k))
+                    k: int = 2) -> Version:
+    ev = Evaluator(automaton, k)
     return Version(ev, ev.build(tree), len(ev.relevant))
 
 
@@ -62,7 +62,7 @@ def best_pair(v: Version) -> tuple:
     return (vals[0], vals[1])
 
 
-def solution_at(v: Version, rank: int) -> Solution:
+def solution_at(v: Version, rank: int) -> frozenset[FeatureId]:
     return reconstruct(v.root, 0, rank)
 
 
@@ -90,7 +90,7 @@ def pivot_query(v: Version) -> PivotReport:
     fs_b = node.chosen[b[0]][b[1]]
     diff = fs_a ^ fs_b
     assert diff, "leaf candidates identical: ID discrimination violated"
-    feature = min(diff, key=lambda f: f.sort_key)
+    feature = min(diff)
     return PivotReport(feature, tuple(path), feature in fs_a)
 
 

@@ -118,6 +118,13 @@ def validate(td: TreeDecomposition, g: WeightedGraph) -> ValidationReport:
     return ValidationReport(violations, td.width())
 
 
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise TreeDecompositionError(f"line {lineno}: non-integer field") from None
+
+
 def load_td(text: str) -> TreeDecomposition:
     """Parse a PACE 2017 .td file."""
     bags: dict[int, frozenset[int]] = {}
@@ -133,20 +140,22 @@ def load_td(text: str) -> TreeDecomposition:
                 raise TreeDecompositionError(f"line {lineno}: duplicate 's td' header")
             if len(parts) != 5 or parts[1] != "td":
                 raise TreeDecompositionError(f"line {lineno}: header must be 's td <bags> <max_bag_size> <n>'")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(_ints(parts[2:], lineno))
         elif parts[0] == "b":
             if header is None:
                 raise TreeDecompositionError(f"line {lineno}: bag line before header")
-            bid = int(parts[1])
+            if len(parts) < 2:
+                raise TreeDecompositionError(f"line {lineno}: bag line must be 'b <bag> <vertices>'")
+            bid, *verts = _ints(parts[1:], lineno)
             if bid in bags:
                 raise TreeDecompositionError(f"line {lineno}: duplicate bag {bid}")
-            bags[bid] = frozenset(int(x) for x in parts[2:])
+            bags[bid] = frozenset(verts)
         else:
             if header is None:
                 raise TreeDecompositionError(f"line {lineno}: edge line before header")
             if len(parts) != 2:
                 raise TreeDecompositionError(f"line {lineno}: expected '<bag> <bag>'")
-            tree_edges.add((int(parts[0]), int(parts[1])))
+            tree_edges.add(tuple(_ints(parts, lineno)))
     if header is None:
         raise TreeDecompositionError("missing 's td' header")
     if len(bags) != header[0]:

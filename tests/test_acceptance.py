@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from twkbest.core import EDGE, CostModel, WeightedGraph, edge, solution_value
+from twkbest.core import WeightedGraph, edge
 from twkbest.treedec import TreeDecomposition, balance, heuristic_decomposition
 from twkbest.algebra import (
     build_parse_tree,
@@ -125,15 +125,12 @@ def test_criterion_2_oracle_equivalence_solutions(corpus, capsys):
         for problem, instances in corpus.items():
             for g, s, t, ref, got in instances:
                 pred, kind = oracle.predicate_for(problem, s, t)
-                cost = (CostModel.edge_costs(g) if kind == EDGE
-                        else CostModel.vertex_costs(g))
                 seen = set()
-                for pos, (value, sol) in enumerate(got):
-                    fs = sol.sets[0]
+                for pos, (value, fs) in enumerate(got):
                     assert fs not in seen, f"{problem}: duplicate solution"
                     seen.add(fs)
                     assert pred(g, fs), f"{problem}: infeasible output"
-                    assert solution_value(sol, cost) == value == ref[pos][0]
+                    assert g.value(fs) == value == ref[pos][0]
     report(capsys, label, " (distinct, feasible, position-wise values)")
 
 
@@ -142,9 +139,8 @@ def test_criterion_3_best_pair(corpus, capsys):
     with failing_reports(capsys, label):
         for problem, instances in corpus.items():
             for g, s, t, ref, _ in instances:
-                tree, automaton, cost = prepare(g, problem, s, t)
-                first, second = best_pair(initial_version(
-                    tree, automaton, cost))
+                tree, automaton = prepare(g, problem, s, t)
+                first, second = best_pair(initial_version(tree, automaton))
                 want_first = ref[0][0] if ref else INF
                 want_second = ref[1][0] if len(ref) > 1 else INF
                 assert first == want_first and second == want_second
@@ -154,8 +150,8 @@ def test_criterion_3_best_pair(corpus, capsys):
 
 def _expand_fully(g, problem, s, t, order, rng):
     """Expand the whole subproblem tree; returns (sorted values, snapshots)."""
-    tree, automaton, cost = prepare(g, problem, s, t)
-    root = initial_version(tree, automaton, cost)
+    tree, automaton = prepare(g, problem, s, t)
+    root = initial_version(tree, automaton)
     if best_pair(root)[0] is INF:
         return [], []
     values = [best_pair(root)[0]]
@@ -362,7 +358,7 @@ def test_criterion_9_automaton_contract(capsys):
                         got = set(acc[tree.root.nid].get(
                             automaton.root_state(), []))
                         pred, kind = oracle.predicate_for(problem, s, t)
-                        want = {sol.sets[0] for _, sol in
+                        want = {fs for _, fs in
                                 oracle.enumerate_sorted(g, pred, kind)}
                         assert got == want, f"{problem} on {g.edges}"
     report(capsys, label, f" ({graphs} graphs, root families match oracle)")

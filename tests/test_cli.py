@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twkbest.cli
 from twkbest.cli import main
 
 # A file the CLI leaves open fails the test instead of only warning.
@@ -235,6 +239,25 @@ def test_balance_unwritable_output_exits_1(tmp_path, k3_file, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "s td 2 2 3\nb\n",
+    "s td 1 3 3\nb x 1 2 3\n",
+    "s td a 3 3\nb 1 1 2 3\n",
+    "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 y\n",
+], ids=["bag-without-id", "bag-id", "header", "tree-edge"])
+def test_malformed_td_exits_1(tmp_path, k3_file, capsys, text):
+    td = tmp_path / "bad.td"
+    td.write_text(text)
+    files = ("--graph", k3_file, "--td", str(td))
+    for argv in (("validate",), ("balance",),
+                 ("ksp", "--source", "1", "--target", "3", "-k", "2"),
+                 ("solve", "--problem", "vertex-cover", "-k", "2")):
+        code, out, err = run(capsys, argv[0], *files, *argv[1:])
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
+
 def test_oracle_check_on_a_path_longer_than_the_recursion_limit(
         tmp_path, capsys):
     p = tmp_path / "path1200.gr"
@@ -296,6 +319,28 @@ def test_tie_order_golden(tmp_path, capsys, text, argv, rows):
     want = "".join(json.dumps({"value": v, "sets": [names.split()]}) + "\n"
                    for v, names in rows)
     assert out == want
+
+
+@pytest.mark.parametrize("text,argv", [
+    (PATH12, ("solve", "--problem", "vertex-cover")),
+    (STRIP_2X6, ("ksp", "--source", "1", "--target", "12")),
+], ids=["vc-path12", "ksp-strip2x6"])
+def test_solutions_identical_across_hash_seeds(tmp_path, text, argv):
+    """Set iteration order depends on the per-process string hash seed; the
+    output must not."""
+    p = tmp_path / "g.gr"
+    p.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twkbest.cli.__file__)))
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twkbest.cli", argv[0], "--graph", str(p),
+             *argv[1:], "-k", "40", "--solutions"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_supplied_td_is_used(tmp_path, k3_file, capsys):

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twkbest.core import (
-    EDGE, VERTEX, CostModel, FeatureId, GraphFormatError, WeightOverflowError,
-    check_int64, edge, load_graph, make_solution, parse_feature, save_graph, solution_value,
-    vertex,
+    EDGE, VERTEX, GraphFormatError, WeightedGraph, WeightOverflowError,
+    check_int64, edge, load_graph, parse_feature, save_graph, vertex,
 )
 
 K3_TEXT = """p kbest 3 3 0
@@ -54,36 +53,28 @@ def test_roundtrip_stable():
 
 def test_solution_value():
     g = load_graph(K3_TEXT)
-    c = CostModel.edge_costs(g)
-    assert solution_value(make_solution([]), c) == 0
-    assert solution_value(make_solution([edge(1), edge(2)]), c) == 2
-
-
-def test_solution_value_kind_mismatch():
-    c = CostModel(EDGE, {})
-    with pytest.raises(ValueError):
-        solution_value(make_solution([vertex(1)]), c)
+    assert g.value([]) == 0
+    assert g.value([edge(1), edge(2)]) == 2
 
 
 def test_overflow_checked():
     # Sums are exact; only reported values are range-checked (in kbest).
-    c = CostModel(EDGE, {edge(1): 2**62, edge(2): 2**62})
-    assert solution_value(make_solution([edge(1), edge(2)]), c) == 2**63
+    g = WeightedGraph(2, 2, False, ((1, 2), (1, 2)),
+                      {edge(1): 2**62, edge(2): 2**62})
+    assert g.value([edge(1), edge(2)]) == 2**63
     with pytest.raises(WeightOverflowError):
         check_int64(2**63)
 
 
 def test_solution_value_additive():
-    c = CostModel(EDGE, {edge(i): i * 7 - 3 for i in range(1, 6)})
-    s1 = make_solution([edge(1), edge(3)])
-    s2 = make_solution([edge(2), edge(5)])
-    joint = make_solution([edge(1), edge(2), edge(3), edge(5)])
-    assert solution_value(joint, c) == solution_value(s1, c) + solution_value(s2, c)
+    g = WeightedGraph(2, 5, False, ((1, 2),) * 5,
+                      {edge(i): i * 7 - 3 for i in range(1, 6)})
+    s1, s2 = [edge(1), edge(3)], [edge(2), edge(5)]
+    assert g.value(s1 + s2) == g.value(s1) + g.value(s2)
 
 
-features = st.builds(FeatureId,
-                     kind=st.sampled_from([VERTEX, EDGE]),
-                     index=st.integers(min_value=1, max_value=50))
+features = st.builds(lambda make, i: make(i), st.sampled_from([vertex, edge]),
+                     st.integers(min_value=1, max_value=50))
 
 
 @given(features, features, features)
@@ -99,3 +90,16 @@ def test_feature_order_vertex_before_edge():
     assert vertex(99) < edge(1)
     assert parse_feature("v3") == vertex(3)
     assert parse_feature("e12") == edge(12)
+
+
+@pytest.mark.parametrize("name", ["x3", "v", "vx", "e0", "v-1"])
+def test_parse_feature_rejects(name):
+    with pytest.raises(ValueError, match="bad feature name"):
+        parse_feature(name)
+
+
+@pytest.mark.parametrize("fid,name,kind", [(vertex(7), "v7", VERTEX),
+                                           (edge(12), "e12", EDGE)])
+def test_parse_feature_roundtrips_repr(fid, name, kind):
+    assert repr(fid) == name and fid.kind == kind
+    assert parse_feature(name) == fid

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twkbest.core import CostModel, WeightedGraph, edge
+from twkbest.core import WeightedGraph, edge
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
@@ -37,8 +37,7 @@ def build(g, problem, **kw):
     k = kw.pop("k", 2)
     t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
-    cost = CostModel.edge_costs(g) if a.kind == "e" else CostModel.vertex_costs(g)
-    return Evaluator(a, cost, TopKStructure(k)).build(t), a, t
+    return Evaluator(a, k).build(t), a, t
 
 
 # --- structure operators ----------------------------------------------------
@@ -110,8 +109,8 @@ def test_matching_infeasible_root():
 def test_reconstruct_k3_ranks():
     root, a, _ = build(K3, "simple-path", s=1, t=3)
     q = 0
-    assert reconstruct(root, q, 0).sets[0] == frozenset({edge(1), edge(2)})
-    assert reconstruct(root, q, 1).sets[0] == frozenset({edge(3)})
+    assert reconstruct(root, q, 0) == frozenset({edge(1), edge(2)})
+    assert reconstruct(root, q, 1) == frozenset({edge(3)})
     with pytest.raises(ValueError):
         reconstruct(root, q, -1)
 
@@ -126,13 +125,12 @@ def test_reconstruct_infinite_rank_rejected():
 def test_constraints_filter_at_introducing_leaf():
     t = build_parse_tree(balance(heuristic_decomposition(K3), K3), K3)
     a = builtin("simple-path", K3, 1, 3)
-    cost = CostModel.edge_costs(K3)
-    ev = Evaluator(a, cost, TopKStructure(2))
+    ev = Evaluator(a, 2)
     without = ev.build(t, {edge(3): False})
     assert without.table[0] == (2, INF)
     forced = ev.build(t, {edge(3): True})
     assert forced.table[0] == (5, INF)
-    assert reconstruct(forced, 0, 0).sets[0] == frozenset({edge(3)})
+    assert reconstruct(forced, 0, 0) == frozenset({edge(3)})
 
 
 def _denotations(node):
@@ -188,14 +186,11 @@ def test_reconstruction_value_matches_table():
         if s == t:
             continue
         root, a, _ = build(g, "simple-path", s=s, t=t, k=4)
-        cost = CostModel.edge_costs(g)
         q = 0
         for r, v in enumerate(root.table[q] if root.table else ()):
             if v is INF:
                 break
-            sol = reconstruct(root, q, r)
-            from twkbest.core import solution_value
-            assert solution_value(sol, cost) == v
+            assert g.value(reconstruct(root, q, r)) == v
 
 
 PROBLEMS = [
@@ -219,8 +214,7 @@ def random_graphs(problem, count=15):
 def initial(g, problem, k=2, **kw):
     t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
-    cost = CostModel.edge_costs(g) if a.kind == "e" else CostModel.vertex_costs(g)
-    return initial_version(t, a, cost, k), a, t
+    return initial_version(t, a, k), a, t
 
 
 def eval_depth(node):
@@ -279,4 +273,4 @@ def test_tree_without_live_leaves_is_one_featureless_leaf():
     root = v0.root
     assert root.is_leaf() and v0.evaluator.feature[root.eid] is None
     assert root.table == [(0, INF)]
-    assert reconstruct(root, 0, 0).sets[0] == frozenset()
+    assert reconstruct(root, 0, 0) == frozenset()

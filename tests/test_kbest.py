@@ -54,8 +54,8 @@ def test_solutions_distinct_and_feasible():
     sols = [s for _, s in got]
     assert len(sols) == 16 == len(set(sols))
     for v, s in got:
-        assert oracle.is_spanning_tree(g, s.sets[0])
-        assert sum(g.weights[f] for f in s.sets[0]) == v
+        assert oracle.is_spanning_tree(g, s)
+        assert sum(g.weights[f] for f in s) == v
 
 
 def test_direct_matches_bestfirst():

@@ -29,8 +29,8 @@ def test_k3_paths():
     pred, kind = predicate_for("simple-path", 1, 3)
     sols = enumerate_sorted(K3, pred, kind)
     assert [v for v, _ in sols] == [2, 4]
-    assert sols[0][1].sets[0] == frozenset({edge(3)})
-    assert sols[1][1].sets[0] == frozenset({edge(1), edge(2)})
+    assert sols[0][1] == frozenset({edge(3)})
+    assert sols[1][1] == frozenset({edge(1), edge(2)})
 
 
 def test_dfs_enumeration_agrees_with_subset_enumeration():
@@ -66,7 +66,7 @@ def test_perfect_matching_counts():
 def test_vertex_cover_on_triangle():
     sols = enumerate_sorted(K3, is_vertex_cover, "v")
     # any two vertices cover K3; one vertex never does
-    sizes = sorted(len(s.sets[0]) for _, s in sols)
+    sizes = sorted(len(s) for _, s in sols)
     assert sizes == [2, 2, 2, 3]
     assert is_vertex_cover(K3, frozenset({vertex(1), vertex(2)}))
     assert not is_vertex_cover(K3, frozenset({vertex(1)}))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twkbest.core import CostModel, WeightedGraph, edge
+from twkbest.core import WeightedGraph, edge
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
@@ -30,8 +30,7 @@ def make_graph(n, edges, weights=None, directed=False):
 def version_for(g, problem, **kw):
     tree = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
-    cost = CostModel.edge_costs(g) if a.kind == "e" else CostModel.vertex_costs(g)
-    return initial_version(tree, a, cost), tree
+    return initial_version(tree, a), tree
 
 
 K3 = make_graph(3, [(1, 2), (2, 3), (3, 1)], [1, 1, 5])
@@ -61,8 +60,8 @@ def test_unique_solution_not_expandable():
 def test_pivot_in_symmetric_difference():
     v, _ = version_for(K3, "simple-path", s=1, t=3)
     rep = pivot_query(v)
-    a = solution_at(v, 0).sets[0]
-    b = solution_at(v, 1).sets[0]
+    a = solution_at(v, 0)
+    b = solution_at(v, 1)
     assert (rep.feature in a) != (rep.feature in b)
     assert (rep.feature in a) == rep.best_contains
 
@@ -88,8 +87,8 @@ def test_constraints_respected_by_reconstructions():
     rep = pivot_query(v)
     forced = constrain(v, rep, True)
     excluded = constrain(v, rep, False)
-    assert rep.feature in solution_at(forced, 0).sets[0]
-    assert rep.feature not in solution_at(excluded, 0).sets[0]
+    assert rep.feature in solution_at(forced, 0)
+    assert rep.feature not in solution_at(excluded, 0)
 
 
 def test_report_version_mismatch_rejected():

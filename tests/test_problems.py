@@ -54,7 +54,7 @@ def check_against_oracle(g, problem, s=None, t=None):
     acc = accumulate(tree, automaton)
     got = set(acc[tree.root.nid].get(automaton.root_state(), []))
     pred, kind = oracle.predicate_for(problem, s, t)
-    want = {sol.sets[0] for _, sol in oracle.enumerate_sorted(g, pred, kind)}
+    want = {fs for _, fs in oracle.enumerate_sorted(g, pred, kind)}
     assert got == want
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from twkbest.core import WeightedGraph, load_graph
 from twkbest.treedec import (
-    DEFAULT_C_DEPTH, TreeDecomposition, balance, chain_decomposition,
-    heuristic_decomposition, load_td, save_td, validate,
+    DEFAULT_C_DEPTH, TreeDecomposition, TreeDecompositionError, balance,
+    chain_decomposition, heuristic_decomposition, load_td, save_td, validate,
 )
 
 K3 = load_graph("p kbest 3 3 0\ne 1 2 1\ne 2 3 1\ne 1 3 5\n")
@@ -69,6 +69,18 @@ def test_td_roundtrip():
     assert td.tree_edges == {(1, 2)}
     again = load_td(save_td(td))
     assert again.bags == td.bags and again.tree_edges == td.tree_edges
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("s td 2 2 3\nb\n", "line 2: bag line must be"),
+    ("s td 1 2 2\nb x 1\n", "line 2: non-integer"),
+    ("s td 1 2 2\nb 1 1 y\n", "line 2: non-integer"),
+    ("s td a 2 3\n", "line 1: non-integer"),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 y\n", "line 4: non-integer"),
+])
+def test_load_td_errors(text, msg):
+    with pytest.raises(TreeDecompositionError, match=msg):
+        load_td(text)
 
 
 def test_td_single_bag_parse():
