@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -160,9 +161,11 @@ def _run_solver(args, problem: str) -> int:
     _emit(results, args.solutions, sys.stdout)
 
     if args.stats:
+        rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(f"stats: depth={stats.tree_depth} max_order={stats.max_order} "
               f"states={stats.state_count} expansions={stats.expansions} "
-              f"max_copies={stats.max_copies} time={elapsed:.3f}s",
+              f"max_copies={stats.max_copies} time={elapsed:.3f}s "
+              f"peak_rss_mb={rss_kib / 1024:.1f}",
               file=sys.stderr)
         if stats.infeasible:
             print("stats: infeasible", file=sys.stderr)

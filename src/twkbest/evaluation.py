@@ -101,7 +101,10 @@ class Evaluator:
     state ids (inner nodes) or (value, feature set) entries (leaves) that
     are realizable without constraints.  Constraints only shrink these
     tables, so a path recopy filters a leaf's entries, skips the pairs whose
-    child state has gone, and never calls the automaton.
+    child state has gone, and never calls the automaton.  The automaton's
+    states live only in that build pass, interned once each, with one pair
+    table and realizable set per distinct subproblem; they never reach
+    these tables.
     """
 
     def __init__(self, automaton: EvalAutomaton, k: int):
@@ -116,65 +119,79 @@ class Evaluator:
 
     def _compute_relevant(self, tree: ParseTree) -> dict[int, list]:
         """The only pass that calls the automaton and orders states; returns
-        each parse node's table by state id.  Its memos are locals: regular
-        graphs hit the same few (signature, realizable child sets) keys at
-        every level, and they are freed once it ends.  Top-down, a child
-        state gets the next id of its node the first time a relevant parent
-        pair names it, so a child's ids depend only on its parent's pair
-        table and state order, and nodes that share both share one interned
-        table."""
+        each parse node's table by state id, the only thing that outlives it.
+        Bottom-up, each distinct state is interned once as an int with its
+        ``state_key``; a node's table maps those ints to its feature sets
+        (leaves) or flat fitting child pairs a1, b1, a2, b2, ... (a, then b,
+        in key order), and its realizable set is its ints in key order.  A
+        (signature, children's realizable sets) memo hit shares both.
+        Top-down, a child state gets the next id of its node the first time a
+        relevant parent pair names it, so nodes that share a pair table and
+        ids share one interned id table; each node's table and ids are
+        dropped once consumed."""
         automaton = self.automaton
-        delta = functools.cache(automaton.delta)
-        key = functools.cache(state_key)
+        sid: dict = {}                   # state -> its int
+        states: list = []                # int -> state
+        keys: list = []                  # int -> state_key
+        order = keys.__getitem__
+
+        def intern(q) -> int:
+            i = sid.get(q)
+            if i is None:
+                i = sid[q] = len(states)
+                states.append(q)
+                keys.append(state_key(q))
+            return i
 
         @functools.cache
         def rank(fs):                    # a leaf entry's sort key
             return tree.graph.value(fs), sorted(fs)
 
         pair_memo: dict = {}
-        realizable: dict[int, frozenset] = {}
-        tables_of: dict[int, dict] = {}  # leaf_table, or q -> fitting pairs
+        tables_of: dict[int, tuple] = {}  # nid -> (table, realizable tuple)
         for pn in tree.nodes:            # children precede parents
             if pn.is_leaf():
-                tables_of[pn.nid] = automaton.leaf_table(pn)
-                realizable[pn.nid] = frozenset(tables_of[pn.nid])
+                table = {intern(q): sols
+                         for q, sols in automaton.leaf_table(pn).items()}
+                tables_of[pn.nid] = table, tuple(sorted(table, key=order))
                 continue
             sig = automaton.signature(pn)
-            states1 = realizable[pn.children[0].nid]
-            states2 = realizable[pn.children[1].nid]
-            pairs = pair_memo.get((sig, states1, states2))
-            if pairs is None:
-                pairs = pair_memo[sig, states1, states2] = {}
-                ordered2 = sorted(states2, key=key)
-                for q1 in sorted(states1, key=key):
-                    for q2 in ordered2:
-                        q = delta(sig, q1, q2)
+            memo_key = (sig, tables_of[pn.children[0].nid][1],
+                        tables_of[pn.children[1].nid][1])
+            if memo_key not in pair_memo:
+                pairs: dict = {}
+                for a in memo_key[1]:
+                    q1 = states[a]
+                    for b in memo_key[2]:
+                        q = automaton.delta(sig, q1, states[b])
                         if q is not None:
-                            pairs.setdefault(q, []).append((q1, q2))
-            tables_of[pn.nid] = pairs
-            realizable[pn.nid] = frozenset(pairs)
+                            pairs.setdefault(intern(q), []).extend((a, b))
+                table = {q: tuple(p) for q, p in pairs.items()}
+                pair_memo[memo_key] = table, tuple(sorted(table, key=order))
+            tables_of[pn.nid] = pair_memo[memo_key]
+        root = sid.get(automaton.root_state())
+        del pair_memo, sid, states, keys, order
         rel: dict[int, list] = {}
-        ids_of = {tree.root.nid: {}}     # nid -> {state: id}, in id order
-        if automaton.root_state() in realizable[tree.root.nid]:
-            ids_of[tree.root.nid][automaton.root_state()] = 0
-        interned: dict = {}              # (pairs, order) -> ids1, ids2, rel
+        ids_of = {tree.root.nid: {}}     # nid -> {int: id}, in id order
+        if root in tables_of[tree.root.nid][0]:
+            ids_of[tree.root.nid][root] = 0
+        interned: dict = {}  # (id(table), ids) -> table (pins id), ids1, ids2, rel
         for pn in reversed(tree.nodes):  # parents precede children
-            ids = ids_of[pn.nid]
+            ids = ids_of.pop(pn.nid)
+            table = tables_of.pop(pn.nid)[0]
             if pn.is_leaf():
-                sols = tables_of[pn.nid]
                 rel[pn.nid] = [[(rank(fs)[0], fs) for fs in
-                                sorted(sols[q], key=rank)] for q in ids]
+                                sorted(table[q], key=rank)] for q in ids]
                 continue
-            pairs = tables_of[pn.nid]
-            memo_key = (id(pairs), tuple(ids))
+            memo_key = (id(table), tuple(ids))
             if memo_key not in interned:
                 ids1, ids2 = {}, {}
-                interned[memo_key] = ids1, ids2, [
-                    [(ids1.setdefault(q1, len(ids1)),
-                      ids2.setdefault(q2, len(ids2))) for q1, q2 in pairs[q]]
+                interned[memo_key] = table, ids1, ids2, [
+                    [(ids1.setdefault(a, len(ids1)), ids2.setdefault(b, len(ids2)))
+                     for a, b in zip(table[q][::2], table[q][1::2])]
                     for q in ids]
             c1, c2 = pn.children
-            ids_of[c1.nid], ids_of[c2.nid], rel[pn.nid] = interned[memo_key]
+            _, ids_of[c1.nid], ids_of[c2.nid], rel[pn.nid] = interned[memo_key]
         return rel
 
     def _contract(self, tree: ParseTree, rel: dict[int, list]) -> list[tuple]:

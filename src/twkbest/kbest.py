@@ -43,12 +43,12 @@ class RunStats:
 
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,
             t: int | None = None, td: TreeDecomposition | None = None):
-    """Decompose, balance, build the parse tree and the problem automaton."""
+    """Build the automaton (it checks the terminals), then the parse tree."""
+    automaton = builtin(problem, g, s, t)
     if td is None:
         td = heuristic_decomposition(g)
-    sd = balance(td, g)
-    tree = build_parse_tree(sd, g)
-    return tree, builtin(problem, g, s, t)
+    tree = build_parse_tree(balance(td, g), g)
+    return tree, automaton
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
@@ -24,6 +25,7 @@ from twkbest.algebra import (
 from twkbest.problems import builtin
 from twkbest.evaluation import (
     INF,
+    Evaluator,
     TopKStructure,
     combine2,
     combine_k,
@@ -257,6 +259,30 @@ def test_criterion_5_complexity_evidence(capsys):
     report(capsys, label,
            f" (depth/log2(n) <= {worst:.1f} up to n=2^17;"
            f" copies <= depth+1 up to n=2^12)")
+
+
+def test_build_memory_bounded_by_the_built_tree():
+    """Building the evaluation tree of grid-strip n = 1024 (width-3 chain
+    decomposition, balanced width 11) peaks at most 3x the heap the built
+    tree keeps."""
+    g, td = _family("grid-strip", 1024, random.Random(5))
+    tree, automaton = prepare(g, "simple-path", 1, 1024, td)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        with gc_paused():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ev = Evaluator(automaton, 2)
+            root = ev.build(tree)
+            kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert root.table and ev.relevant
+    ratio = (peak - base) / (kept - base)
+    assert ratio <= 3, f"build peak is {ratio:.2f}x the built tree"
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -56,6 +57,7 @@ def test_ksp_more_than_available_reports_exhaustion(k3_file, capsys):
     assert code == 0
     assert out == "2\n5\n"
     assert "exhausted after 2" in err
+    assert float(re.search(r" peak_rss_mb=(\S+)\n", err).group(1)) > 0
 
 
 def test_solve_spanning_tree(k3_file, capsys):
@@ -321,15 +323,31 @@ def test_tie_order_golden(tmp_path, capsys, text, argv, rows):
     assert out == want
 
 
-@pytest.mark.parametrize("text,argv", [
-    (PATH12, ("solve", "--problem", "vertex-cover")),
-    (STRIP_2X6, ("ksp", "--source", "1", "--target", "12")),
-], ids=["vc-path12", "ksp-strip2x6"])
-def test_solutions_identical_across_hash_seeds(tmp_path, text, argv):
+# 2 x 24 grid strip (vertices 2i - 1, 2i in column i) and its width-3 chain
+# decomposition, which balances to width 11.
+STRIP_2X24 = ("p kbest 48 70 0\n"
+              + "".join(f"e {2 * i - 1} {2 * i} 1\n" for i in range(1, 25))
+              + "".join(f"e {v} {v + 2} 1\n" for v in range(1, 47)))
+STRIP_2X24_TD = ("s td 23 4 48\n"
+                 + "".join(f"b {i} {2 * i - 1} {2 * i} {2 * i + 1} {2 * i + 2}\n"
+                           for i in range(1, 24))
+                 + "".join(f"{i} {i + 1}\n" for i in range(1, 23)))
+
+
+@pytest.mark.parametrize("text,argv,td", [
+    (PATH12, ("solve", "--problem", "vertex-cover"), None),
+    (STRIP_2X6, ("ksp", "--source", "1", "--target", "12"), None),
+    (STRIP_2X24, ("ksp", "--source", "1", "--target", "48"), STRIP_2X24_TD),
+], ids=["vc-path12", "ksp-strip2x6", "ksp-strip2x24-td"])
+def test_solutions_identical_across_hash_seeds(tmp_path, text, argv, td):
     """Set iteration order depends on the per-process string hash seed; the
-    output must not."""
+    output must not.  The wide case's simple-path states hold the salted
+    strings 'p' and 'h', so it checks the build pass's own state order."""
     p = tmp_path / "g.gr"
     p.write_text(text)
+    if td is not None:
+        (tmp_path / "g.td").write_text(td)
+        argv += ("--td", str(tmp_path / "g.td"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(twkbest.cli.__file__)))
     outs = set()
     for seed in ("0", "1", "2"):

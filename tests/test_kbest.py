@@ -129,3 +129,12 @@ def test_run_leaves_no_cycles_and_restores_collector():
     with pytest.raises(WeightOverflowError):
         k_best(overflow, "simple-path", 1, s=1, t=3)
     assert gc.isenabled()
+
+
+def test_bad_terminals_rejected_before_balancing(monkeypatch):
+    def fail(*_):
+        raise AssertionError("balance ran before the terminals were checked")
+    monkeypatch.setattr("twkbest.kbest.balance", fail)
+    for run in (k_best, k_best_direct):
+        with pytest.raises(ValueError, match="^terminals must be distinct$"):
+            run(K3, "simple-path", 2, s=1, t=1)
