@@ -62,12 +62,6 @@ class ParseTree:
     introducer: dict[FeatureId, ParseNode]
     graph: WeightedGraph
 
-    def introducing_leaf(self, x: FeatureId) -> ParseNode:
-        try:
-            return self.introducer[x]
-        except KeyError:
-            raise ParseTreeError(f"unknown feature {x}") from None
-
 
 def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     """Translate a shallow decomposition into a full binary parse tree.
@@ -339,17 +333,3 @@ def hypergraph_matches_graph(h: Hypergraph, g: WeightedGraph) -> bool:
             if got not in ((t, hd), (hd, t)):
                 return False
     return True
-
-
-def dump_parse_tree(t: ParseTree) -> str:
-    """Indented debug dump; format not stability-guaranteed."""
-    lines: list[str] = []
-
-    def walk(u: ParseNode, indent: int):
-        feat = f" feat={u.feature}" if u.feature else ""
-        lines.append("  " * indent + f"{u.op} order={u.order} srcs={u.srcs}{feat}")
-        for c in u.children:
-            walk(c, indent + 1)
-
-    walk(t.root, 0)
-    return "\n".join(lines) + "\n"

@@ -137,8 +137,9 @@ def _run_solver(args, problem: str) -> int:
         direct_k = getattr(args, "direct_k", None)
         if direct_k is None and (k is None or k < 1):
             raise ValueError("k must be a positive integer")
-        if direct_k is not None and args.solutions:
-            raise ValueError("--solutions is unavailable in --direct-k mode")
+        if direct_k is not None and (args.solutions or args.stats):
+            raise ValueError("--solutions and --stats are unavailable in "
+                             "--direct-k mode")
         if args.oracle_check:
             want = _oracle_values(g, problem, s, t)
         stats = RunStats()

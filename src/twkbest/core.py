@@ -98,9 +98,6 @@ class WeightedGraph:
             if not (INT64_MIN <= w <= INT64_MAX):
                 raise ValueError(f"weight of {fid} outside 64-bit range")
 
-    def weight(self, fid: FeatureId) -> int:
-        return self.weights.get(fid, 0)
-
     def value(self, features) -> int:
         """Exact sum of the features' weights; not range-checked, since only
         reported values must fit in 64 bits."""
@@ -163,10 +160,3 @@ def load_graph(text: str) -> WeightedGraph:
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges but found {len(edges)}")
     return WeightedGraph(n, m, d, tuple(edges), weights)
-
-
-def save_graph(g: WeightedGraph) -> str:
-    lines = [f"p kbest {g.n} {g.m} {1 if g.directed else 0}"]
-    for i, (t, h) in enumerate(g.edges, 1):
-        lines.append(f"e {t} {h} {g.weight(edge(i))}")
-    return "\n".join(lines) + "\n"

@@ -7,10 +7,13 @@ for the union of alternatives (k smallest overall).
 
 ``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects: the
 parse tree contracted to its live leaves (whose feature has the automaton's
-kind) and the inner nodes with two live children, a full binary tree.  Each
-node holds per-state values, canonical chosen decompositions per rank, and
-solution IDs satisfying the discriminating property: two (state, rank)
-entries of one node carry the same ID iff they denote the same solution.
+kind) and the inner nodes with two live children, a full binary tree.  It
+sweeps the parse tree twice: bottom-up for each node's realizable states,
+then top-down over the contracted tree's nodes only, numbering their states
+and composing the unary chains between them.  Each node holds per-state
+values, canonical chosen decompositions per rank, and solution IDs
+satisfying the discriminating property: two (state, rank) entries of one
+node carry the same ID iff they denote the same solution.
 Values add exactly; ``kbest`` range-checks only the values it reports.
 """
 from __future__ import annotations
@@ -95,16 +98,16 @@ class EvalNode:
 class Evaluator:
     """Builds EvalNode trees; shared by initial evaluation and path recopies.
 
-    ``build`` fixes every per-node table once: it numbers each parse node's
-    relevant states 0..S-1 (the root state is 0), contracts the parse tree,
-    and stores, per evaluation node and state id, the ordered pairs of child
-    state ids (inner nodes) or (value, feature set) entries (leaves) that
-    are realizable without constraints.  Constraints only shrink these
-    tables, so a path recopy filters a leaf's entries, skips the pairs whose
-    child state has gone, and never calls the automaton.  The automaton's
-    states live only in that build pass, interned once each, with one pair
-    table and realizable set per distinct subproblem; they never reach
-    these tables.
+    ``build`` fixes every per-node table once, in one bottom-up and one
+    top-down pass over the parse tree: it numbers each evaluation node's
+    relevant states 0..S-1 (the root state is 0) and stores, per state id,
+    the ordered pairs of child state ids (inner nodes) or (value, feature
+    set) entries (leaves) that are realizable without constraints.
+    Constraints only shrink these tables, so a path recopy filters a leaf's
+    entries, skips the pairs whose child state has gone, and never calls the
+    automaton.  The automaton's states live only in that build, interned
+    once each, with one pair table and realizable set per distinct
+    subproblem; they never reach these tables.
     """
 
     def __init__(self, automaton: EvalAutomaton, k: int):
@@ -117,19 +120,35 @@ class Evaluator:
         self.relevant: list[list] = []
         self.feature: list = []          # eid -> a leaf's feature, else None
 
-    def _compute_relevant(self, tree: ParseTree) -> dict[int, list]:
-        """The only pass that calls the automaton and orders states; returns
-        each parse node's table by state id, the only thing that outlives it.
+    def _compute_relevant(self, tree: ParseTree) -> list[bool]:
+        """The only pass that calls the automaton and orders states; fills
+        ``relevant`` and ``feature`` by eid, in preorder from the root, and
+        returns whether each evaluation node is a join.
+
         Bottom-up, each distinct state is interned once as an int with its
         ``state_key``; a node's table maps those ints to its feature sets
         (leaves) or flat fitting child pairs a1, b1, a2, b2, ... (a, then b,
         in key order), and its realizable set is its ints in key order.  A
-        (signature, children's realizable sets) memo hit shares both.
-        Top-down, a child state gets the next id of its node the first time a
-        relevant parent pair names it, so nodes that share a pair table and
-        ids share one interned id table; each node's table and ids are
-        dropped once consumed."""
-        automaton = self.automaton
+        (signature, children's realizable sets) memo hit shares both.  A
+        node is live if it is a leaf whose feature has the automaton's kind
+        or if it has a live child; only live nodes keep their tables.  A
+        constant node denotes only the empty set: each realizable state of a
+        constant leaf lists it once, and each of a constant inner node has
+        one pair.
+
+        Top-down, the walk visits chain tops: the root and the children of
+        joins with two live sides.  The root state gets id 0.  From a top's
+        states in id order, it follows the chain's one-live-side steps down
+        to the live leaf or join at its bottom, expanding each top state into
+        the sequence of live-side states its pairs name.  The bottom's
+        entries over that sequence are the top state's list: a leaf's
+        (value, feature set) entries, stably sorted by value, or a join's
+        pairs renamed to the children's ids by first appearance, which
+        numbers the children's states.  As repeats add no new states, first
+        appearance in the sequence is first use at every node of the chain.
+        A (chain tables, top states) memo hit shares the lists and the
+        children's states; each table is dropped once consumed."""
+        automaton, kind = self.automaton, self.automaton.kind
         sid: dict = {}                   # state -> its int
         states: list = []                # int -> state
         keys: list = []                  # int -> state_key
@@ -143,21 +162,23 @@ class Evaluator:
                 keys.append(state_key(q))
             return i
 
-        @functools.cache
-        def rank(fs):                    # a leaf entry's sort key
-            return tree.graph.value(fs), sorted(fs)
-
         pair_memo: dict = {}
-        tables_of: dict[int, tuple] = {}  # nid -> (table, realizable tuple)
+        realizable: dict[int, tuple] = {}  # nid -> ints, until its parent
+        live: dict[int, dict] = {}       # live nid -> table, until consumed
         for pn in tree.nodes:            # children precede parents
             if pn.is_leaf():
-                table = {intern(q): sols
-                         for q, sols in automaton.leaf_table(pn).items()}
-                tables_of[pn.nid] = table, tuple(sorted(table, key=order))
+                leaf = automaton.leaf_table(pn)
+                table = {intern(q): sols for q, sols in leaf.items()}
+                realizable[pn.nid] = tuple(sorted(table, key=order))
+                if pn.feature is not None and pn.feature.kind == kind:
+                    live[pn.nid] = table
+                else:
+                    assert all(s == [frozenset()] for s in leaf.values()), \
+                        f"constant leaf {pn.nid} denotes a nonempty solution"
                 continue
+            c1, c2 = pn.children
             sig = automaton.signature(pn)
-            memo_key = (sig, tables_of[pn.children[0].nid][1],
-                        tables_of[pn.children[1].nid][1])
+            memo_key = (sig, realizable.pop(c1.nid), realizable.pop(c2.nid))
             if memo_key not in pair_memo:
                 pairs: dict = {}
                 for a in memo_key[1]:
@@ -168,89 +189,74 @@ class Evaluator:
                             pairs.setdefault(intern(q), []).extend((a, b))
                 table = {q: tuple(p) for q, p in pairs.items()}
                 pair_memo[memo_key] = table, tuple(sorted(table, key=order))
-            tables_of[pn.nid] = pair_memo[memo_key]
-        root = sid.get(automaton.root_state())
-        del pair_memo, sid, states, keys, order
-        rel: dict[int, list] = {}
-        ids_of = {tree.root.nid: {}}     # nid -> {int: id}, in id order
-        if root in tables_of[tree.root.nid][0]:
-            ids_of[tree.root.nid][root] = 0
-        interned: dict = {}  # (id(table), ids) -> table (pins id), ids1, ids2, rel
-        for pn in reversed(tree.nodes):  # parents precede children
-            ids = ids_of.pop(pn.nid)
-            table = tables_of.pop(pn.nid)[0]
-            if pn.is_leaf():
-                rel[pn.nid] = [[(rank(fs)[0], fs) for fs in
-                                sorted(table[q], key=rank)] for q in ids]
-                continue
-            memo_key = (id(table), tuple(ids))
-            if memo_key not in interned:
-                ids1, ids2 = {}, {}
-                interned[memo_key] = table, ids1, ids2, [
-                    [(ids1.setdefault(a, len(ids1)), ids2.setdefault(b, len(ids2)))
-                     for a, b in zip(table[q][::2], table[q][1::2])]
-                    for q in ids]
-            c1, c2 = pn.children
-            _, ids_of[c1.nid], ids_of[c2.nid], rel[pn.nid] = interned[memo_key]
-        return rel
-
-    def _contract(self, tree: ParseTree, rel: dict[int, list]) -> list[tuple]:
-        """Keep the leaves whose feature has the automaton's kind and the
-        inner nodes with two live sides; fill ``relevant`` and ``feature`` by
-        eid and return each node's children eids, children first.  A constant
-        subtree denotes only the empty set, so above a node with one live side
-        each state lists, in pair order, the live side's lists: composite
-        pairs in (outer pidx, inner pidx, ...) order, leaf entries by value."""
-        kind = self.automaton.kind
-        empty = [(0, frozenset())]
-        root_states = len(rel[tree.root.nid])
-        nodes: list[list] = []           # eid -> [children eids, feature, lists]
-        chain: dict = {}                 # nid -> eid below it, None if constant
-        composed: dict = {}              # ids of (table, lists, side) -> all 3
-        for pn in tree.nodes:            # children precede parents
-            table = rel.pop(pn.nid)
-            if pn.is_leaf():
-                if pn.feature is not None and pn.feature.kind == kind:
-                    chain[pn.nid] = len(nodes)
-                    nodes.append([(), pn.feature, table])
-                else:
-                    assert all(e == empty for e in table), \
-                        f"constant leaf {pn.nid} denotes a nonempty solution"
-                    chain[pn.nid] = None
-                continue
-            e1, e2 = (chain.pop(c.nid) for c in pn.children)
-            if e1 is None and e2 is None:
-                assert all(len(p) == 1 for p in table), \
-                    f"constant node {pn.nid} denotes the empty set twice"
-                chain[pn.nid] = None
-            elif e1 is not None and e2 is not None:
-                chain[pn.nid] = len(nodes)
-                nodes.append([(e1, e2), None, table])
+            table, realizable[pn.nid] = pair_memo[memo_key]
+            if c1.nid in live or c2.nid in live:
+                live[pn.nid] = table
             else:
-                side, eid = (0, e1) if e1 is not None else (1, e2)
-                kids, _, lists = nodes[eid]
-                memo_key = (id(table), id(lists), side)
-                if memo_key not in composed:
-                    composed[memo_key] = table, lists, self._compose(
-                        table, lists, side, leaf=not kids)
-                nodes[eid][2] = composed[memo_key][2]
-                chain[pn.nid] = eid
-        if chain[tree.root.nid] is None:  # no live leaf: one featureless leaf
-            nodes.append([(), None, [empty] * root_states])
-        shape, self.feature, self.relevant = map(list, zip(*nodes))
-        return shape
+                assert all(len(p) == 2 for p in table.values()), \
+                    f"constant node {pn.nid} denotes the empty set twice"
+        root = sid.get(automaton.root_state())
+        tops = [root] if root in realizable.pop(tree.root.nid) else []
+        del pair_memo, sid, states, keys, order
+        if tree.root.nid not in live:    # no live leaf: one featureless leaf
+            self.feature = [None]
+            self.relevant = [[[(0, frozenset())]] * len(tops)]
+            return [False]
 
-    @staticmethod
-    def _compose(table: list, lists: list, side: int, leaf: bool) -> list:
-        out = []
-        for plist in table:
-            cat = [x for pair in plist for x in lists[pair[side]]]
-            if leaf:
-                cat.sort(key=itemgetter(0))  # ties keep (pidx, rank) order
-            # A repeat would be a duplicate solution: never silently dropped.
-            assert len(set(cat)) == len(cat), "duplicate composite entry"
-            out.append(cat)
-        return out
+        @functools.cache
+        def rank(fs):                    # a leaf entry's sort key
+            return tree.graph.value(fs), sorted(fs)
+
+        joins: list[bool] = []
+        feature: list = []
+        relevant: list[list] = []
+        # (chain tables' ids, top states) -> lists, children's top states.
+        # Every table exists before the walk drops any, so the id of a table
+        # still live never names a dropped one.
+        memo: dict = {}
+        stack = [(tree.root, tops)]
+        while stack:
+            pn, tops = stack.pop()
+            steps = []                   # (table, live side) down the chain
+            while not pn.is_leaf():
+                c1, c2 = pn.children
+                if c1.nid in live and c2.nid in live:
+                    break
+                side = 0 if c1.nid in live else 1
+                steps.append((live.pop(pn.nid), side))
+                pn = pn.children[side]
+            table = live.pop(pn.nid)
+            memo_key = (tuple((id(t), side) for t, side in steps), id(table),
+                        tuple(tops))
+            if memo_key not in memo:
+                seqs = [[q] for q in tops]
+                for t, side in steps:
+                    seqs = [[x for q in seq for x in t[q][side::2]]
+                            for seq in seqs]
+                ids1, ids2 = {}, {}
+                if pn.is_leaf():         # ties keep sequence order
+                    lists = [sorted([(rank(fs)[0], fs) for q in seq
+                                     for fs in sorted(table[q], key=rank)],
+                                    key=itemgetter(0)) for seq in seqs]
+                else:
+                    lists = [[(ids1.setdefault(a, len(ids1)),
+                               ids2.setdefault(b, len(ids2)))
+                              for q in seq
+                              for a, b in zip(table[q][::2], table[q][1::2])]
+                             for seq in seqs]
+                # A repeat would be a duplicate solution: never dropped.
+                assert all(len(set(x)) == len(x) for x in lists), \
+                    "duplicate composite entry"
+                memo[memo_key] = lists, list(ids1), list(ids2)
+            lists, tops1, tops2 = memo[memo_key]
+            relevant.append(lists)
+            feature.append(pn.feature)   # None at a join
+            joins.append(not pn.is_leaf())
+            if joins[-1]:
+                stack.append((pn.children[1], tops2))
+                stack.append((pn.children[0], tops1))
+        self.feature, self.relevant = feature, relevant
+        return joins
 
     # -- node construction ----------------------------------------------
 
@@ -316,17 +322,18 @@ class Evaluator:
                 for i1, r1, i2, r2 in chosen[q])
         return EvalNode(eid, (ch1, ch2), table, ids, chosen)
 
-    def build(self, tree: ParseTree, constraints: dict | None = None) -> EvalNode:
-        constraints = constraints or {}
+    def build(self, tree: ParseTree) -> EvalNode:
+        joins = self._compute_relevant(tree)
         built: list[EvalNode] = []
-        shape = self._contract(tree, self._compute_relevant(tree))
-        for eid, kids in enumerate(shape):
-            if kids:                     # children precede parents
-                built.append(self.inner_node(eid, built[kids[0]], built[kids[1]]))
+        # Reversed preorder meets a join right after its children's
+        # subtrees, child 1's last.
+        for eid in reversed(range(len(joins))):
+            if joins[eid]:
+                ch1, ch2 = built.pop(), built.pop()
+                built.append(self.inner_node(eid, ch1, ch2))
             else:
-                built.append(self.leaf_node(
-                    eid, constraints.get(self.feature[eid])))
-        return built[-1]
+                built.append(self.leaf_node(eid, None))
+        return built.pop()
 
 
 def root_values(root: EvalNode) -> tuple:

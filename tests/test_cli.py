@@ -202,6 +202,19 @@ def test_direct_k_with_solutions_rejected_before_solving(
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_direct_k_with_stats_rejected_before_solving(
+        k3_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the parameter check")
+
+    monkeypatch.setattr("twkbest.cli.k_best_direct", refuse)
+    code, out, err = run(capsys, "solve", "--graph", k3_file, "--problem",
+                         "spanning-tree", "--direct-k", "2", "--stats")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bag_vertex_outside_graph_exits_4(tmp_path, capsys):
     gr = tmp_path / "p3.gr"
     gr.write_text(P3)

@@ -126,11 +126,23 @@ def test_constraints_filter_at_introducing_leaf():
     t = build_parse_tree(balance(heuristic_decomposition(K3), K3), K3)
     a = builtin("simple-path", K3, 1, 3)
     ev = Evaluator(a, 2)
-    without = ev.build(t, {edge(3): False})
+    root = ev.build(t)
+
+    def constrained(node, want):
+        """node's tree with edge 3's leaf filtered to want, re-evaluated."""
+        if node.is_leaf():
+            if ev.feature[node.eid] != edge(3):
+                return node
+            return ev.leaf_node(node.eid, want)
+        ch1, ch2 = (constrained(c, want) for c in node.children)
+        return ev.inner_node(node.eid, ch1, ch2)
+
+    without = constrained(root, False)
     assert without.table[0] == (2, INF)
-    forced = ev.build(t, {edge(3): True})
+    forced = constrained(root, True)
     assert forced.table[0] == (5, INF)
     assert reconstruct(forced, 0, 0) == frozenset({edge(3)})
+    assert root.table[0] == (2, 5)
 
 
 def _denotations(node):
@@ -274,3 +286,37 @@ def test_tree_without_live_leaves_is_one_featureless_leaf():
     assert root.is_leaf() and v0.evaluator.feature[root.eid] is None
     assert root.table == [(0, INF)]
     assert reconstruct(root, 0, 0) == frozenset()
+
+
+def test_constant_leaf_with_a_solution_is_refused():
+    t = build_parse_tree(balance(heuristic_decomposition(K3), K3), K3)
+    a = builtin("vertex-cover", K3)
+    real = a.leaf_table
+
+    def leaky(node):
+        table = real(node)
+        if node.op[0] == "edge":         # constant: vertex cover sets vertices
+            table[(1, 1)] = [frozenset({node.feature})]
+        return table
+
+    a.leaf_table = leaky
+    with pytest.raises(AssertionError, match="constant leaf"):
+        Evaluator(a, 2).build(t)
+
+
+def test_constant_node_with_two_derivations_is_refused():
+    t = build_parse_tree(balance(heuristic_decomposition(K3), K3), K3)
+    a = builtin("vertex-cover", K3)
+    real = a.delta
+
+    def lax(sig, q1, q2):                # a fuse that ignores its dummy vertex
+        if sig[0] != "fuse":
+            return real(sig, q1, q2)
+        merged = list(q1)
+        merged[sig[1]] = max(q1[sig[1]], q1[sig[2]])
+        del merged[sig[2]]
+        return tuple(merged)
+
+    a.delta = lax
+    with pytest.raises(AssertionError, match="twice"):
+        Evaluator(a, 2).build(t)
