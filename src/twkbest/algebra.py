@@ -72,6 +72,14 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     vertex's topmost bag, and project down to the interface with the parent
     bag.  Every edge gets exactly one edge leaf and every vertex exactly one
     introducing vertex leaf.
+
+    The parts are joined one at a time (see ``_join_order``).  Next comes
+    the part that adds the fewest new vertices, so the running order stays
+    small; then the one sharing the most; on a full tie, leaves come before
+    child fragments, so the paths up from the fragments pass few of the
+    bag's joins.  A self-loop's leaf is fused before it is joined, so both
+    sides of a join have distinct sources in the bag, and a join's order is
+    at most |bag| + the part's order <= 2 |bag|.
     """
     bags = sd.bags
     children = sd.children
@@ -153,27 +161,26 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
             cur = mk(("fuse", i, j), (cur, dummy), srcs)
 
     def build_bag(b: int) -> ParseNode:
-        parts = [build_bag(c) for c in children.get(b, ())]
+        kids = [build_bag(c) for c in children.get(b, ())]
+        leaves = []
         for ei in edges_at[b]:
             t, h = g.edges[ei - 1]
             leaf = mk(("edge", label), (), (t, h), edge(ei))
             introducer[edge(ei)] = leaf
-            parts.append(leaf)
+            leaves.append(fuse_duplicates(leaf) if t == h else leaf)
         introduced_here = sorted(v for v in bags[b] if top_bag[v] == b)
-        copies = {v for p in parts for v in p.srcs}
+        copies = {v for p in kids + leaves for v in p.srcs}
         for v in introduced_here:
             if v not in copies:
-                parts.append(vertex_leaf(v, True))
+                leaves.append(vertex_leaf(v, True))
 
-        if not parts:
+        # Join one part at a time, fusing shared vertices immediately.
+        cur = None
+        for p in _join_order(leaves + kids):
+            cur = p if cur is None else fuse_duplicates(
+                mk(("join",), (cur, p), cur.srcs + p.srcs))
+        if cur is None:
             cur = mk(("const0",), (), ())
-        else:
-            # Join one part at a time, fusing shared vertices immediately so
-            # intermediate orders stay small.
-            cur = fuse_duplicates(parts[0])
-            for p in parts[1:]:
-                cur = mk(("join",), (cur, p), cur.srcs + p.srcs)
-                cur = fuse_duplicates(cur)
 
         # Splice the introducing leaf into vertices that already have a copy.
         for v in introduced_here:
@@ -207,20 +214,40 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         if fid not in introducer:
             raise ParseTreeError(f"feature {fid} has no introducing leaf")
 
-    depth = _depth(root)
-    max_order = max(n.order for n in nodes)
-    return ParseTree(root, nodes, depth, max_order, introducer, g)
+    # Heights in postorder, where children precede their parent.
+    height = [0] * len(nodes)
+    for u in nodes:
+        if u.children:
+            a, b = u.children
+            height[u.nid] = 1 + max(height[a.nid], height[b.nid])
+    max_order = max(len(n.srcs) for n in nodes)
+    return ParseTree(root, nodes, height[root.nid], max_order, introducer, g)
 
 
-def _depth(root: ParseNode) -> int:
-    best = 0
-    stack = [(root, 0)]
-    while stack:
-        u, d = stack.pop()
-        best = max(best, d)
-        for c in u.children:
-            stack.append((c, d + 1))
-    return best
+def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
+    """``parts`` in the order a bag gadget joins them.  Parts on one vertex
+    set go together, in part order; the next set is the one that adds the
+    fewest vertices to those joined so far, then the one sharing the most
+    with them, then the first in part order.  Grouping by set keeps this
+    quadratic in the bag's distinct sets, not in its parallel edges."""
+    if len(parts) < 2:
+        return parts
+    by_set: dict[frozenset[int], list[ParseNode]] = {}
+    for p in parts:
+        by_set.setdefault(frozenset(p.srcs), []).append(p)
+    sets = list(by_set)
+    joined: frozenset[int] = frozenset()
+    out = []
+    while sets:
+        best, best_key = None, None
+        for s in sets:
+            key = (len(s - joined), -len(s))     # equal new: larger shares more
+            if best is None or key < best_key:
+                best, best_key = s, key
+        sets.remove(best)
+        joined |= best
+        out += by_set[best]
+    return out
 
 
 # --- reference semantics (testing only) -------------------------------------

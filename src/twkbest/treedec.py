@@ -284,11 +284,16 @@ def _binarize(bags: dict[int, frozenset[int]], children: dict[int, list[int]],
 def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     """Rebuild ``td`` as a binary decomposition of logarithmic depth.
 
-    Recursive centroid splitting with at most two marked boundary bags per
-    call: the new root bag is the centroid bag unioned with the marked bags
-    (size <= 3*(w+1), so width <= 3w+2).  With two marks the split node is
-    chosen on the path between them, so marks never accumulate; sizes halve
-    at least every other level, giving
+    Recursive centroid splitting of a component with at most two marked
+    boundary bags.  A mark is a bag of the component with a tree edge that
+    leaves it, paired with its adhesion: the vertices it shares with the
+    bag across that edge.  The component's new root bag is the split bag
+    unioned with the marks' adhesions, which is all the rest of the tree
+    needs from it: a vertex in the component and outside it lies, by
+    connectivity, in the two bags of a boundary edge.  Each adhesion lies in
+    its mark's bag, so the new bag has size <= 3*(w+1) and width <= 3w+2.
+    With two marks the split node is chosen on the path between them, so
+    marks never accumulate; sizes halve at least every other level, giving
     depth <= DEFAULT_C_DEPTH * ceil(log2(bags+1)).
     """
     report = validate(td, g)
@@ -427,22 +432,16 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
                 return u
         return path[-1]
 
-    def build(nodes: set[int], marks: list[int]) -> int:
-        if len(nodes) == 1:
-            only = next(iter(nodes))
-            bag = bags[only]
-            for mk in marks:
-                bag |= bags[mk]
-            return new_node(bag)
-        c = pick_split(nodes, marks)
-        bag = bags[c]
-        for mk in marks:
-            bag |= bags[mk]
-        me = new_node(bag)
+    def build(nodes: set[int], marks: dict[int, frozenset[int]]) -> int:
+        if len(nodes) == 1:              # its marks' adhesions lie in its bag
+            return new_node(bags[next(iter(nodes))])
+        c = pick_split(nodes, sorted(marks))
+        me = new_node(bags[c].union(*marks.values()))
         kids = []
         for comp in components_without(nodes, c):
             boundary = next(w for w in adj[c] if w in comp)
-            sub_marks = sorted({m for m in marks if m in comp} | {boundary})
+            sub_marks = {m: a for m, a in marks.items() if m in comp}
+            sub_marks[boundary] = sub_marks.get(boundary, frozenset()) | (bags[boundary] & bags[c])
             kids.append(build(comp, sub_marks))
         # Binarize the <=3 children under same-bag spacer nodes.
         cur = me
@@ -453,7 +452,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
         out_children[cur] = kids
         return me
 
-    out_root = build(set(bags), [])
+    out_root = build(set(bags), {})
     del build                            # recursive closure: break the cycle
 
     def depth_of(r: int) -> int:

@@ -287,14 +287,17 @@ def test_build_memory_bounded_by_the_built_tree():
 
 def test_build_shares_tables_across_equal_chains():
     """Evaluation nodes whose chains have the same tables and top states
-    share one per-state list: on the memory test's instance, 3,067 nodes
-    hold 1,629 distinct lists."""
+    share one per-state list: on the memory test's instance (balanced
+    width 7), 3,067 nodes hold 1,567 distinct lists.  Balancing on
+    adhesions keeps its realizable states under 20,000 (whole bags,
+    width 11, gave 38,772)."""
     g, td = _family("grid-strip", 1024, random.Random(5))
     tree, automaton = prepare(g, "simple-path", 1, 1024, td)
     ev = Evaluator(automaton, 2)
     ev.build(tree)
     assert len(ev.relevant) == 3067
-    assert len({id(lists) for lists in ev.relevant}) <= 1629
+    assert len({id(lists) for lists in ev.relevant}) <= 1567
+    assert sum(map(len, ev.relevant)) < 20_000
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Parse-tree construction and reference hypergraph semantics."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,8 @@ from twkbest.algebra import (
 )
 from twkbest.core import WeightedGraph, edge, vertex
 from twkbest.treedec import balance, chain_decomposition, heuristic_decomposition
+
+from test_acceptance import _family
 
 
 def make_graph(n, edges, directed=False):
@@ -99,6 +102,27 @@ def test_order_bound_against_bag_size():
         t = build_parse_tree(sd, g)
         max_bag = max(len(b) for b in sd.bags.values())
         assert t.max_order <= max_bag + 1, (t.max_order, max_bag)
+
+
+def test_order_at_most_twice_the_largest_bag():
+    """A bag gadget joins parts whose sources are distinct vertices of the
+    bag, so a join's order is at most |bag| + the part's order <= 2 |bag|."""
+    graphs = []
+    for name in ("path", "cycle", "grid-strip"):
+        for n in (16, 64, 256):
+            g, td = _family(name, n, random.Random(n))
+            graphs += [(g, td), (g, heuristic_decomposition(g))]
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        g = make_graph(n, [(rng.randint(1, n), rng.randint(1, n))
+                           for _ in range(rng.randint(0, 2 * n))])
+        graphs.append((g, heuristic_decomposition(g)))
+    for g, td in graphs:
+        sd = balance(td, g)
+        t = build_parse_tree(sd, g)
+        max_bag = max(len(b) for b in sd.bags.values())
+        assert t.max_order <= 2 * max_bag, (t.max_order, max_bag)
 
 
 def test_depth_logarithmic_on_chain():

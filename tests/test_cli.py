@@ -297,28 +297,28 @@ K4 = ("p kbest 4 6 0\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\n"
 TIE_GOLDEN = [
     (PATH12, ("solve", "--problem", "vertex-cover", "-k", "6"), [
         (0, "v2 v4 v5 v7 v9 v11"),
-        (0, "v2 v4 v5 v7 v9 v11 v12"),
-        (0, "v2 v4 v5 v7 v8 v9 v11 v12"),
         (0, "v2 v4 v5 v7 v8 v9 v11"),
+        (0, "v2 v4 v5 v7 v8 v9 v11 v12"),
+        (0, "v2 v4 v5 v7 v9 v11 v12"),
         (0, "v2 v4 v5 v7 v8 v10 v12"),
-        (0, "v2 v4 v5 v7 v9 v10 v12"),
+        (0, "v2 v4 v5 v7 v8 v10 v11"),
     ]),
     (STRIP_2X6, ("ksp", "--source", "1", "--target", "12", "-k", "8"), [
-        (6, "e6 e7 e8 e9 e10 e11"),
-        (6, "e1 e2 e8 e9 e10 e13"),
-        (6, "e1 e7 e8 e9 e10 e12"),
         (6, "e1 e2 e3 e4 e10 e15"),
         (6, "e1 e2 e3 e4 e5 e16"),
         (6, "e1 e2 e3 e9 e10 e14"),
-        (8, "e5 e6 e7 e8 e9 e11 e15 e16"),
-        (8, "e1 e5 e7 e8 e9 e12 e15 e16"),
+        (6, "e6 e7 e8 e9 e10 e11"),
+        (6, "e1 e7 e8 e9 e10 e12"),
+        (6, "e1 e2 e8 e9 e10 e13"),
+        (8, "e2 e3 e4 e5 e6 e11 e12 e16"),
+        (8, "e2 e3 e6 e9 e10 e11 e12 e14"),
     ]),
     (K4, ("solve", "--problem", "spanning-tree", "-k", "5"), [
-        (3, "e1 e2 e3"),
-        (3, "e1 e3 e4"),
         (3, "e2 e3 e4"),
+        (3, "e1 e3 e4"),
+        (3, "e1 e2 e3"),
+        (3, "e2 e4 e5"),
         (3, "e1 e4 e5"),
-        (3, "e1 e2 e5"),
     ]),
 ]
 
@@ -337,7 +337,7 @@ def test_tie_order_golden(tmp_path, capsys, text, argv, rows):
 
 
 # 2 x 24 grid strip (vertices 2i - 1, 2i in column i) and its width-3 chain
-# decomposition, which balances to width 11.
+# decomposition, which balances to width 7.
 STRIP_2X24 = ("p kbest 48 70 0\n"
               + "".join(f"e {2 * i - 1} {2 * i} 1\n" for i in range(1, 25))
               + "".join(f"e {v} {v + 2} 1\n" for v in range(1, 47)))
@@ -345,6 +345,17 @@ STRIP_2X24_TD = ("s td 23 4 48\n"
                  + "".join(f"b {i} {2 * i - 1} {2 * i} {2 * i + 1} {2 * i + 2}\n"
                            for i in range(1, 24))
                  + "".join(f"{i} {i + 1}\n" for i in range(1, 23)))
+
+
+def test_strip_2x24_balances_to_width_7(tmp_path, capsys):
+    """Each new bag takes the adhesions of its boundary bags, not the whole
+    bags (whole bags gave width 11 here)."""
+    (tmp_path / "g.gr").write_text(STRIP_2X24)
+    (tmp_path / "g.td").write_text(STRIP_2X24_TD)
+    code, out, _ = run(capsys, "balance", "--graph", str(tmp_path / "g.gr"),
+                       "--td", str(tmp_path / "g.td"))
+    assert code == 0
+    assert int(re.match(r"width=(\d+) ", out).group(1)) <= 7
 
 
 @pytest.mark.parametrize("text,argv,td", [
