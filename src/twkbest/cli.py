@@ -13,8 +13,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .core import (GraphFormatError, WeightedGraph, WeightOverflowError,
-                   load_graph)
+from .core import GraphFormatError, WeightOverflowError, load_graph
 from .treedec import balance, load_td, save_td, validate
 from .kbest import RunStats, k_best, k_best_direct
 from .problems import BUILTIN_PROBLEMS
@@ -79,28 +78,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(args) -> WeightedGraph:
-    g = load_graph(_read(args.graph))
-    override = getattr(args, "directed_override", None)
-    if override is not None:
-        g = replace(g, directed=bool(override))
-    return g
-
-
-def _load_td(args, g):
-    if getattr(args, "td", None) is None:
-        return None
-    td = load_td(_read(args.td))
-    report = validate(td, g)
-    if not report.ok:
-        for line in report.violations:
-            print(line, file=sys.stderr)
-        raise _BadTd()
-    return td
-
-
-class _BadTd(Exception):
-    pass
+def _load(args, violations_out):
+    """(graph, its validated --td or None, None), or (None, None, exit code)
+    once the failure is reported: an I/O or format error on stderr, exit 1;
+    an invalid decomposition's violations on violations_out, exit 4."""
+    try:
+        g = load_graph(_read(args.graph))
+        override = getattr(args, "directed_override", None)
+        if override is not None:
+            g = replace(g, directed=bool(override))
+        td = None if args.td is None else load_td(_read(args.td))
+    except (OSError, GraphFormatError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, None, EXIT_IO
+    if td is not None:
+        report = validate(td, g)
+        if not report.ok:
+            for line in report.violations:
+                print(line, file=violations_out)
+            return None, None, EXIT_BAD_TD
+    return g, td, None
 
 
 def _emit(results, want_solutions: bool, out):
@@ -122,14 +119,9 @@ def _oracle_values(g, problem, s, t):
 
 
 def _run_solver(args, problem: str) -> int:
-    try:
-        g = _load_graph(args)
-        td = _load_td(args, g)
-    except _BadTd:
-        return EXIT_BAD_TD
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g, td, code = _load(args, sys.stderr)
+    if code is not None:
+        return code
 
     k = args.k
     s, t = args.source, args.target
@@ -185,17 +177,9 @@ def _run_solver(args, problem: str) -> int:
 
 
 def _run_balance(args) -> int:
-    try:
-        g = _load_graph(args)
-        td = load_td(_read(args.td))
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = validate(td, g)
-    if not report.ok:
-        for line in report.violations:
-            print(line, file=sys.stderr)
-        return EXIT_BAD_TD
+    g, td, code = _load(args, sys.stderr)
+    if code is not None:
+        return code
     sd = balance(td, g)
     if args.output:
         try:
@@ -209,19 +193,11 @@ def _run_balance(args) -> int:
 
 
 def _run_validate(args) -> int:
-    try:
-        g = _load_graph(args)
-        td = load_td(_read(args.td))
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = validate(td, g)
-    if report.ok:
-        print(f"valid width={report.width}")
-        return EXIT_OK
-    for line in report.violations:
-        print(line)
-    return EXIT_BAD_TD
+    _, td, code = _load(args, sys.stdout)
+    if code is not None:
+        return code
+    print(f"valid width={td.width()}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -9,12 +9,13 @@ module calls both once per parse node, at build.
 
 State spaces:
 
-* simple path (undirected): ``(slots, complete)``; slot per source is
-  ``0`` (degree 0), ``2`` (path interior), ``('p', j)`` (open segment end
-  paired with source j), or ``('h',)`` (open end of a segment whose other
-  end is an already-finalized terminal).
-* simple path (directed): as above with oriented slots ``('s', j)``/
-  ``('t', j)`` (open start/end of a segment) and ``('hs',)``/``('ht',)``.
+* simple path: ``(slots, complete)``; slot per source is ``0`` (degree 0),
+  ``2`` (path interior), ``(label, j)`` (open end of a segment whose other
+  end is at source j), or ``(HALF[label],)`` (open end of a segment whose
+  other end is an already-finalized terminal).  The label is ``'p'`` in an
+  undirected graph; in a directed one ``'s'``/``'t'`` marks where a
+  segment starts/ends.  Two open ends fuse only if their ``DIR``s sum to 0,
+  and then each partner keeps its label and takes the other as its pair.
 * spanning tree: partition of the sources into connected blocks, or the
   order-0 sentinels ``()`` (nothing seen) and ``'D'`` (finished tree).
 * perfect matching: per-source matched bit; a source may only be projected
@@ -23,6 +24,8 @@ State spaces:
   agree, and only the introducing leaf contributes the vertex itself.
 """
 from __future__ import annotations
+
+import functools
 
 from .core import EDGE, VERTEX, WeightedGraph
 from .algebra import ParseNode
@@ -76,16 +79,27 @@ class EvalAutomaton:
         raise NotImplementedError
 
 
-def _shift_pairs(slots, removed):
-    """Renumber pair references after deleting position `removed`."""
+# An open end's label -> the label of the same end once its partner is a
+# finalized terminal.
+HALF = {"p": "h", "s": "hs", "t": "ht"}
+# An open end's orientation: +1 starts a segment, -1 ends one, 0 either.
+DIR = {"p": 0, "h": 0, "s": 1, "hs": 1, "t": -1, "ht": -1}
+
+
+def _renumber(slots, new) -> list:
+    """Slots with each pair reference j replaced by new[j]."""
     out = []
     for x in slots:
-        if isinstance(x, tuple) and len(x) == 2:
-            j = x[1]
-            out.append((x[0], j - 1 if j > removed else j))
-        else:
-            out.append(x)
+        if type(x) is tuple and len(x) == 2:
+            x = (x[0], new[x[1]])
+        out.append(x)
     return out
+
+
+@functools.cache
+def _deleted(j: int, r: int) -> tuple:
+    """The renumbering of r + 1 positions once position j is deleted."""
+    return (*range(j), -1, *range(j, r))
 
 
 class SimplePathAutomaton(EvalAutomaton):
@@ -94,7 +108,8 @@ class SimplePathAutomaton(EvalAutomaton):
     def __init__(self, s: int, t: int, directed: bool):
         self.s = s
         self.t = t
-        self.directed = directed
+        # the pair label of each terminal's end; it also labels an edge leaf
+        self.end = {"S": "s", "T": "t"} if directed else {"S": "p", "T": "p"}
 
     def root_state(self):
         return ((), 1)
@@ -123,10 +138,7 @@ class SimplePathAutomaton(EvalAutomaton):
             if c1 and c2:
                 return None
             off = len(s1)
-            shifted = [
-                (x[0], x[1] + off) if isinstance(x, tuple) and len(x) == 2 else x
-                for x in s2
-            ]
+            shifted = _renumber(s2, range(off, off + len(s2)))
             return self._prune(list(s1) + shifted, c1 | c2)
         if op in ("fuse", "attach"):
             if s2 != (0,) or c2:
@@ -143,69 +155,35 @@ class SimplePathAutomaton(EvalAutomaton):
 
     def _fuse(self, slots, c, i, j):
         x, y = slots[i], slots[j]
-        if x == 0 and y == 0:
-            m = 0
-        elif x == 0 or y == 0:
+        if x == 0 or y == 0:
             m = y if x == 0 else x
             # the surviving open end's partner must point at position i
-            if isinstance(m, tuple) and len(m) == 2:
+            if type(m) is tuple and len(m) == 2:
                 k = m[1]
-                px = slots[k]
-                slots[k] = (px[0], i)
-        elif x == 2 or y == 2:
+                slots[k] = (slots[k][0], i)
+        elif x == 2 or y == 2 or DIR[x[0]] + DIR[y[0]]:
             return None
         else:
-            pair_x = isinstance(x, tuple) and len(x) == 2
-            pair_y = isinstance(y, tuple) and len(y) == 2
-            if self.directed:
-                outd = {"s": (0, 1), "t": (1, 0), "hs": (0, 1), "ht": (1, 0)}
-                ox, ix_ = outd[x[0]]
-                oy, iy_ = outd[y[0]]
-                if ox + oy > 1 or ix_ + iy_ > 1:
+            m = 2
+            if len(x) == 2 and len(y) == 2:
+                if x[1] == j:
+                    return None  # two ends of one segment: cycle
+                a, b = x[1], y[1]
+                slots[a] = (slots[a][0], b)
+                slots[b] = (slots[b][0], a)
+            elif len(x) == 2 or len(y) == 2:
+                k = x[1] if len(x) == 2 else y[1]
+                slots[k] = (HALF[slots[k][0]],)
+            else:                         # two half ends: the path closes
+                if c:
                     return None
-                m = 2
-                if pair_x and pair_y:
-                    if x[1] == j:
-                        return None  # two ends of one segment: cycle
-                    a, b = x[1], y[1]
-                    if x[0] == "s":       # i starts segment to a; j ends one from b
-                        slots[b] = ("s", a)
-                        slots[a] = ("t", b)
-                    else:                 # i ends segment from a; j starts one to b
-                        slots[a] = ("s", b)
-                        slots[b] = ("t", a)
-                elif pair_x or pair_y:
-                    p, closed = (x, y) if pair_x else (y, x)
-                    k = p[1]
-                    slots[k] = ("ht",) if closed == ("ht",) else ("hs",)
-                else:                     # ('hs',) with ('ht',): path closes
-                    if c:
-                        return None
-                    c = 1
-            else:
-                if pair_x and pair_y:
-                    if x[1] == j:
-                        return None  # cycle
-                    a, b = x[1], y[1]
-                    slots[a] = ("p", b)
-                    slots[b] = ("p", a)
-                    m = 2
-                elif pair_x or pair_y:
-                    k = x[1] if pair_x else y[1]
-                    slots[k] = ("h",)
-                    m = 2
-                else:                     # ('h',) with ('h',)
-                    if c:
-                        return None
-                    c = 1
-                    m = 2
+                c = 1
         slots[i] = m
         del slots[j]
-        slots = _shift_pairs(slots, j)
-        return self._prune(slots, c)
+        return self._prune(_renumber(slots, _deleted(j, len(slots))), c)
 
     def _proj(self, sig, slots, c):
-        alpha, r_in, dropped = sig[1], sig[2], sig[3]
+        alpha, dropped = sig[1], sig[3]
         drop_flags = dict(dropped)
         consumed: set[int] = set()
 
@@ -214,39 +192,23 @@ class SimplePathAutomaton(EvalAutomaton):
             x = slots[pos]
             if flag == "-":
                 return x in (0, 2)
-            if not self._open(x):
+            end = self.end[flag]
+            if x == (HALF[end],):        # the path's other end is finalized
+                if c:
+                    return False
+                c = 1
+                return True
+            if not (self._open(x) and len(x) == 2 and x[0] == end):
                 return False
-            if self.directed:
-                want = "s" if flag == "S" else "t"
-                if x == (("hs",) if flag == "S" else ("ht",)):
-                    if c:
-                        return False
-                    c = 1
-                    return True
-                if not (isinstance(x, tuple) and len(x) == 2 and x[0] == want):
-                    return False
-            else:
-                if x == ("h",):
-                    if c:
-                        return False
-                    c = 1
-                    return True
-                if not (isinstance(x, tuple) and len(x) == 2 and x[0] == "p"):
-                    return False
             k = x[1]
             if k in drop_flags:          # both segment ends dropped together
                 other = drop_flags[k]
-                if other == "-" or other == flag:
-                    return False
-                if c:
+                if other == "-" or other == flag or c:
                     return False
                 c = 1
                 consumed.add(k)
             else:
-                if self.directed:
-                    slots[k] = ("ht",) if flag == "S" else ("hs",)
-                else:
-                    slots[k] = ("h",)
+                slots[k] = (HALF[slots[k][0]],)
             return True
 
         for pos, flag in dropped:
@@ -254,15 +216,8 @@ class SimplePathAutomaton(EvalAutomaton):
                 continue
             if not close(pos, flag):
                 return None
-        kept = [slots[a] for a in alpha]
         pos_new = {a: k for k, a in enumerate(alpha)}
-        out = []
-        for x in kept:
-            if isinstance(x, tuple) and len(x) == 2:
-                out.append((x[0], pos_new[x[1]]))
-            else:
-                out.append(x)
-        return self._prune(out, c)
+        return self._prune(_renumber([slots[a] for a in alpha], pos_new), c)
 
     def leaf_table(self, node: ParseNode):
         op = node.op[0]
@@ -273,10 +228,7 @@ class SimplePathAutomaton(EvalAutomaton):
             return {((0,), 0): [empty]}
         if op == "edge":
             e = node.feature
-            if self.directed:
-                taken = ((("s", 1), ("t", 0)), 0)
-            else:
-                taken = ((("p", 1), ("p", 0)), 0)
+            taken = (((self.end["S"], 1), (self.end["T"], 0)), 0)
             return {((0, 0), 0): [empty], taken: [frozenset({e})]}
         raise ValueError(f"not a leaf: {node.op}")
 

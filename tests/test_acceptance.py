@@ -263,7 +263,7 @@ def test_criterion_5_complexity_evidence(capsys):
 
 def test_build_memory_bounded_by_the_built_tree():
     """Building the evaluation tree of grid-strip n = 1024 (width-3 chain
-    decomposition, balanced width 11) peaks at most 3x the heap the built
+    decomposition, balanced width 7) peaks at most 3x the heap the built
     tree keeps."""
     g, td = _family("grid-strip", 1024, random.Random(5))
     tree, automaton = prepare(g, "simple-path", 1, 1024, td)

@@ -292,6 +292,11 @@ STRIP_2X6 = ("p kbest 12 16 0\n"
              + "".join(f"e {i} {i + 1} 1\n" for i in (1, 2, 3, 4, 5))
              + "".join(f"e {i} {i + 1} 1\n" for i in (7, 8, 9, 10, 11))
              + "".join(f"e {i} {i + 6} 1\n" for i in range(1, 7)))
+# The same strip directed, with edge 2i - 1 the i-th edge of STRIP_2X6 and
+# edge 2i its reverse: paths from 2 to 11 may run against the column order.
+DSTRIP_2X6 = ("p kbest 12 32 1\n"
+              + "".join(f"e {u} {v} 1\ne {v} {u} 1\n" for u, v in
+                        (ln.split()[1:3] for ln in STRIP_2X6.splitlines()[1:])))
 K4 = ("p kbest 4 6 0\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\n"
       "e 3 4 1\n")
 TIE_GOLDEN = [
@@ -313,6 +318,16 @@ TIE_GOLDEN = [
         (8, "e2 e3 e4 e5 e6 e11 e12 e16"),
         (8, "e2 e3 e6 e9 e10 e11 e12 e14"),
     ]),
+    (DSTRIP_2X6, ("ksp", "--source", "2", "--target", "11", "-k", "8"), [
+        (4, "e3 e5 e7 e29"),
+        (4, "e3 e5 e17 e27"),
+        (4, "e13 e15 e17 e23"),
+        (4, "e3 e15 e17 e25"),
+        (6, "e5 e13 e17 e23 e26 e27"),
+        (6, "e3 e5 e7 e9 e20 e31"),
+        (6, "e3 e7 e15 e25 e28 e29"),
+        (6, "e2 e11 e13 e15 e17 e21"),
+    ]),
     (K4, ("solve", "--problem", "spanning-tree", "-k", "5"), [
         (3, "e2 e3 e4"),
         (3, "e1 e3 e4"),
@@ -324,7 +339,8 @@ TIE_GOLDEN = [
 
 
 @pytest.mark.parametrize("text,argv,rows", TIE_GOLDEN,
-                         ids=["vc-path12", "ksp-strip2x6", "st-k4"])
+                         ids=["vc-path12", "ksp-strip2x6", "ksp-dstrip2x6",
+                              "st-k4"])
 def test_tie_order_golden(tmp_path, capsys, text, argv, rows):
     p = tmp_path / "g.gr"
     p.write_text(text)
@@ -362,7 +378,8 @@ def test_strip_2x24_balances_to_width_7(tmp_path, capsys):
     (PATH12, ("solve", "--problem", "vertex-cover"), None),
     (STRIP_2X6, ("ksp", "--source", "1", "--target", "12"), None),
     (STRIP_2X24, ("ksp", "--source", "1", "--target", "48"), STRIP_2X24_TD),
-], ids=["vc-path12", "ksp-strip2x6", "ksp-strip2x24-td"])
+    (DSTRIP_2X6, ("ksp", "--source", "2", "--target", "11"), None),
+], ids=["vc-path12", "ksp-strip2x6", "ksp-strip2x24-td", "ksp-dstrip2x6"])
 def test_solutions_identical_across_hash_seeds(tmp_path, text, argv, td):
     """Set iteration order depends on the per-process string hash seed; the
     output must not.  The wide case's simple-path states hold the salted
