@@ -22,7 +22,8 @@ introducing leaf into an existing copy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from typing import NamedTuple
 
 from .core import FeatureId, WeightedGraph, edge, vertex
 from .treedec import ShallowDecomposition
@@ -53,8 +54,7 @@ class ParseNode:
         return f"ParseNode({self.op}, order={self.order}, srcs={self.srcs})"
 
 
-@dataclass
-class ParseTree:
+class ParseTree(NamedTuple):
     root: ParseNode
     nodes: list[ParseNode]               # postorder; nid indexes this list
     depth: int
@@ -71,7 +71,8 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     copies of shared vertices, splice in the introducing vertex leaf at the
     vertex's topmost bag, and project down to the interface with the parent
     bag.  Every edge gets exactly one edge leaf and every vertex exactly one
-    introducing vertex leaf.
+    introducing vertex leaf.  A bag with no parts gives no fragment, so no
+    join takes an empty (``const0``) child.
 
     The parts are joined one at a time (see ``_join_order``).  Next comes
     the part that adds the fewest new vertices, so the running order stays
@@ -80,6 +81,12 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     bag's joins.  A self-loop's leaf is fused before it is joined, so both
     sides of a join have distinct sources in the bag, and a join's order is
     at most |bag| + the part's order <= 2 |bag|.
+
+    A vertex is forgotten as early as possible, as in a nice tree
+    decomposition: before each join, every vertex that the parent bag does
+    not share and that no part left to join holds gets its introducing leaf
+    spliced in (if it has none yet) and is projected out.  So introducing
+    leaves sit low in the gadget and the later joins carry fewer sources.
     """
     bags = sd.bags
     children = sd.children
@@ -160,8 +167,22 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
             srcs = cur.srcs[:j] + cur.srcs[j + 1:]
             cur = mk(("fuse", i, j), (cur, dummy), srcs)
 
-    def build_bag(b: int) -> ParseNode:
-        kids = [build_bag(c) for c in children.get(b, ())]
+    def project(cur: ParseNode, keep: tuple) -> ParseNode:
+        """Splice in the introducing leaf of each source not in keep that
+        still lacks one, then reindex the sources to keep."""
+        for v in sorted(cur.srcs):
+            if v not in keep and vertex(v) not in introducer:
+                dummy = vertex_leaf(v, True)
+                cur = mk(("attach", cur.srcs.index(v)), (cur, dummy), cur.srcs)
+        pos_of = {v: k for k, v in enumerate(cur.srcs)}
+        alpha = tuple(pos_of[v] for v in keep)
+        if alpha != tuple(range(len(cur.srcs))):
+            zero = mk(("const0",), (), ())
+            cur = mk(("proj", alpha), (cur, zero), keep)
+        return cur
+
+    def build_bag(b: int) -> ParseNode | None:
+        kids = [k for k in map(build_bag, children.get(b, ())) if k]
         leaves = []
         for ei in edges_at[b]:
             t, h = g.edges[ei - 1]
@@ -173,39 +194,32 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         for v in introduced_here:
             if v not in copies:
                 leaves.append(vertex_leaf(v, True))
+        p = parent[b]
+        shared = bags[b] & bags[p] if p is not None else set()
 
-        # Join one part at a time, fusing shared vertices immediately.
+        # Join one part at a time, fusing shared vertices immediately and
+        # forgetting the unshared ones no part left to join holds.
+        left = Counter(v for part in leaves + kids for v in part.srcs)
         cur = None
-        for p in _join_order(leaves + kids):
-            cur = p if cur is None else fuse_duplicates(
-                mk(("join",), (cur, p), cur.srcs + p.srcs))
+        for part in _join_order(leaves + kids):
+            if cur is not None:
+                cur = project(cur, tuple(v for v in cur.srcs
+                                         if v in shared or left[v]))
+                cur = fuse_duplicates(
+                    mk(("join",), (cur, part), cur.srcs + part.srcs))
+            left.subtract(part.srcs)
+            cur = cur or part
         if cur is None:
-            cur = mk(("const0",), (), ())
-
-        # Splice the introducing leaf into vertices that already have a copy.
-        for v in introduced_here:
-            if vertex(v) not in introducer:
-                i = cur.srcs.index(v)
-                dummy = vertex_leaf(v, True)
-                cur = mk(("attach", i), (cur, dummy), cur.srcs)
+            return None
 
         stray = [v for v in cur.srcs if v not in bags[b]]
         if stray:
             raise ParseTreeError(f"bag {b}: stray source vertices {stray}")
-
         # Project to the interface with the parent bag (canonical order);
         # only vertices with a copy in this fragment are passed up.
-        p = parent[b]
-        shared = bags[b] & bags[p] if p is not None else set()
-        interface = sorted(v for v in shared if v in cur.srcs)
-        pos_of = {v: k for k, v in enumerate(cur.srcs)}
-        alpha = tuple(pos_of[v] for v in interface)
-        if alpha != tuple(range(len(cur.srcs))):
-            zero = mk(("const0",), (), ())
-            cur = mk(("proj", alpha), (cur, zero), tuple(interface))
-        return cur
+        return project(cur, tuple(sorted(v for v in shared if v in cur.srcs)))
 
-    root = build_bag(root_bag)
+    root = build_bag(root_bag) or mk(("const0",), (), ())
     del build_bag                        # recursive closure: break the cycle
     if root.order != 0:
         raise ParseTreeError("root fragment still has sources")
@@ -252,8 +266,7 @@ def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
 
 # --- reference semantics (testing only) -------------------------------------
 
-@dataclass
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """Explicit hypergraph value: vertex atoms carry the global vertex id
     they were created for, so feature-preserving isomorphism is checkable."""
 

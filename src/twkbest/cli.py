@@ -11,13 +11,11 @@ import json
 import resource
 import sys
 import time
-from dataclasses import replace
 
 from .core import GraphFormatError, WeightOverflowError, load_graph
 from .treedec import balance, load_td, save_td, validate
 from .kbest import RunStats, k_best, k_best_direct
 from .problems import BUILTIN_PROBLEMS
-from . import oracle
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -86,7 +84,7 @@ def _load(args, violations_out):
         g = load_graph(_read(args.graph))
         override = getattr(args, "directed_override", None)
         if override is not None:
-            g = replace(g, directed=bool(override))
+            g = g._replace(directed=bool(override))
         td = None if args.td is None else load_td(_read(args.td))
     except (OSError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -110,11 +108,19 @@ def _emit(results, want_solutions: bool, out):
 
 
 def _oracle_values(g, problem, s, t):
-    pred, kind = oracle.predicate_for(problem, s, t)
-    if problem == "simple-path" and g.m > 22:
-        ref = oracle.enumerate_paths(g, s, t)
-    else:
-        ref = oracle.enumerate_sorted(g, pred, kind)
+    """The oracle's values in order, or None once an instance too large for
+    it is reported.  Only this mode imports the oracle."""
+    from . import oracle
+    try:
+        pred, kind = oracle.predicate_for(problem, s, t)
+        if problem == "simple-path" and g.m > 22:
+            ref = oracle.enumerate_paths(g, s, t)
+        else:
+            ref = oracle.enumerate_sorted(g, pred, kind)
+    except oracle.OracleCapExceeded as exc:
+        print(f"error: instance too large for --oracle-check: {exc}",
+              file=sys.stderr)
+        return None
     return [v for v, _ in ref]
 
 
@@ -134,6 +140,8 @@ def _run_solver(args, problem: str) -> int:
                              "--direct-k mode")
         if args.oracle_check:
             want = _oracle_values(g, problem, s, t)
+            if want is None:
+                return EXIT_PARAMS
         stats = RunStats()
         t0 = time.perf_counter()
         if direct_k is not None:
@@ -143,10 +151,6 @@ def _run_solver(args, problem: str) -> int:
             results = k_best(g, problem, k, s=s, t=t,
                              want_solutions=args.solutions, td=td, stats=stats)
         elapsed = time.perf_counter() - t0
-    except oracle.OracleCapExceeded as exc:
-        print(f"error: instance too large for --oracle-check: {exc}",
-              file=sys.stderr)
-        return EXIT_PARAMS
     except (ValueError, WeightOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -168,7 +172,7 @@ def _run_solver(args, problem: str) -> int:
 
     if args.oracle_check:
         got = [v for v, _ in results]
-        want = want[:len(got) or 1]
+        want = want[:k if direct_k is None else direct_k]
         if got != want:
             print(f"oracle mismatch: engine={got} oracle={want}",
                   file=sys.stderr)

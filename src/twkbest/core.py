@@ -7,7 +7,6 @@ raises :class:`WeightOverflowError` instead of wrapping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 VERTEX = "v"
@@ -71,32 +70,40 @@ def parse_feature(name: str) -> FeatureId:
     return (edge if kind == EDGE else vertex)(int(digits))
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """A directed or undirected multigraph with per-feature integer weights.
-
-    Vertices are 1..n.  Edge i is the i-th edge line of the input; parallel
-    edges and self-loops are allowed.  ``weights`` maps features to weights;
-    vertex weights default to 0 when absent.
-    """
-
+class _Graph(NamedTuple):
     n: int
     m: int
     directed: bool
     edges: tuple[tuple[int, int], ...]
-    weights: dict[FeatureId, int] = field(default_factory=dict)
+    weights: dict[FeatureId, int]
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class WeightedGraph(_Graph):
+    """A directed or undirected multigraph with per-feature integer weights.
+
+    Vertices are 1..n.  Edge i is the i-th edge line of the input; parallel
+    edges and self-loops are allowed.  ``weights`` maps features to weights
+    (default: a new empty dict); vertex weights default to 0 when absent.
+    An immutable record; ``_replace`` skips the checks below.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, directed: bool,
+                edges: tuple[tuple[int, int], ...],
+                weights: dict[FeatureId, int] | None = None):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.edges) != self.m:
-            raise ValueError(f"expected {self.m} edges, got {len(self.edges)}")
-        for t, h in self.edges:
-            if not (1 <= t <= self.n and 1 <= h <= self.n):
+        if len(edges) != m:
+            raise ValueError(f"expected {m} edges, got {len(edges)}")
+        for t, h in edges:
+            if not (1 <= t <= n and 1 <= h <= n):
                 raise ValueError(f"edge endpoint out of range: ({t}, {h})")
-        for fid, w in self.weights.items():
+        weights = {} if weights is None else weights
+        for fid, w in weights.items():
             if not (INT64_MIN <= w <= INT64_MAX):
                 raise ValueError(f"weight of {fid} outside 64-bit range")
+        return super().__new__(cls, n, m, directed, edges, weights)
 
     def value(self, features) -> int:
         """Exact sum of the features' weights; not range-checked, since only

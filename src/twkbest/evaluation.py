@@ -147,7 +147,10 @@ class Evaluator:
         numbers the children's states.  As repeats add no new states, first
         appearance in the sequence is first use at every node of the chain.
         A (chain tables, top states) memo hit shares the lists and the
-        children's states; each table is dropped once consumed."""
+        children's states; each table is dropped once consumed.  Only on a
+        miss does it try a second key, (bottom table, composed sequences),
+        of which the lists are a function: chains of different tables can
+        compose to the same sequences."""
         automaton, kind = self.automaton, self.automaton.kind
         sid: dict = {}                   # state -> its int
         states: list = []                # int -> state
@@ -210,7 +213,8 @@ class Evaluator:
         joins: list[bool] = []
         feature: list = []
         relevant: list[list] = []
-        # (chain tables' ids, top states) -> lists, children's top states.
+        # (chain tables' ids, top states) -> lists, children's top states;
+        # on a miss, (bottom table's id, composed sequences) -> the same.
         # Every table exists before the walk drops any, so the id of a table
         # still live never names a dropped one.
         memo: dict = {}
@@ -233,21 +237,25 @@ class Evaluator:
                 for t, side in steps:
                     seqs = [[x for q in seq for x in t[q][side::2]]
                             for seq in seqs]
-                ids1, ids2 = {}, {}
-                if pn.is_leaf():         # ties keep sequence order
-                    lists = [sorted([(rank(fs)[0], fs) for q in seq
-                                     for fs in sorted(table[q], key=rank)],
-                                    key=itemgetter(0)) for seq in seqs]
-                else:
-                    lists = [[(ids1.setdefault(a, len(ids1)),
-                               ids2.setdefault(b, len(ids2)))
-                              for q in seq
-                              for a, b in zip(table[q][::2], table[q][1::2])]
-                             for seq in seqs]
-                # A repeat would be a duplicate solution: never dropped.
-                assert all(len(set(x)) == len(x) for x in lists), \
-                    "duplicate composite entry"
-                memo[memo_key] = lists, list(ids1), list(ids2)
+                seq_key = (id(table), tuple(map(tuple, seqs)))
+                if seq_key not in memo:
+                    ids1, ids2 = {}, {}
+                    if pn.is_leaf():     # ties keep sequence order
+                        lists = [sorted([(rank(fs)[0], fs) for q in seq
+                                         for fs in sorted(table[q], key=rank)],
+                                        key=itemgetter(0)) for seq in seqs]
+                    else:
+                        lists = [[(ids1.setdefault(a, len(ids1)),
+                                   ids2.setdefault(b, len(ids2)))
+                                  for q in seq
+                                  for a, b in zip(table[q][::2],
+                                                  table[q][1::2])]
+                                 for seq in seqs]
+                    # A repeat would be a duplicate solution: never dropped.
+                    assert all(len(set(x)) == len(x) for x in lists), \
+                        "duplicate composite entry"
+                    memo[seq_key] = lists, list(ids1), list(ids2)
+                memo[memo_key] = memo[seq_key]
             lists, tops1, tops2 = memo[memo_key]
             relevant.append(lists)
             feature.append(pn.feature)   # None at a join

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import heapq
-from dataclasses import dataclass
 
 from .core import FeatureId, WeightedGraph, check_int64
 from .treedec import TreeDecomposition, balance, heuristic_decomposition
@@ -30,15 +29,23 @@ from .persist import (
 DIRECT_K_LIMIT = 64
 
 
-@dataclass
 class RunStats:
-    expansions: int = 0
-    max_copies: int = 0
-    exhausted_after: int | None = None
-    infeasible: bool = False
-    tree_depth: int = 0
-    max_order: int = 0
-    state_count: int = 0
+    """Counters of one ``k_best`` run."""
+
+    __slots__ = ("expansions", "max_copies", "exhausted_after", "infeasible",
+                 "tree_depth", "max_order", "state_count")
+
+    def __init__(self, expansions: int = 0, max_copies: int = 0,
+                 exhausted_after: int | None = None, infeasible: bool = False,
+                 tree_depth: int = 0, max_order: int = 0,
+                 state_count: int = 0):
+        self.expansions = expansions
+        self.max_copies = max_copies
+        self.exhausted_after = exhausted_after
+        self.infeasible = infeasible
+        self.tree_depth = tree_depth
+        self.max_order = max_order
+        self.state_count = state_count
 
 
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,

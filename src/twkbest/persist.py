@@ -15,7 +15,7 @@ is id 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FeatureId
 from .algebra import ParseTree
@@ -27,8 +27,7 @@ class VersionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Version:
+class Version(NamedTuple):
     """An evaluation tree named by its root.  It keeps no constraint list:
     each constraint lives in the filtered table of its feature's leaf."""
 
@@ -41,8 +40,7 @@ class Version:
         return self.evaluator.automaton
 
 
-@dataclass(frozen=True)
-class PivotReport:
+class PivotReport(NamedTuple):
     feature: FeatureId
     # root-to-leaf trace: (node, best entry (state id, rank), second entry)
     path: tuple

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import WeightedGraph
 
@@ -15,15 +15,16 @@ class TreeDecompositionError(ValueError):
     pass
 
 
-@dataclass
 class TreeDecomposition:
-    """Bags indexed by node id, plus the tree edges between them."""
+    """Bags indexed by node id, plus the tree edges between them, each
+    stored as a sorted pair."""
 
-    bags: dict[int, frozenset[int]]
-    tree_edges: set[tuple[int, int]] = field(default_factory=set)
+    __slots__ = ("bags", "tree_edges")
 
-    def __post_init__(self):
-        self.tree_edges = {tuple(sorted(e)) for e in self.tree_edges}
+    def __init__(self, bags: dict[int, frozenset[int]], tree_edges=()):
+        self.bags = bags
+        self.tree_edges: set[tuple[int, int]] = {
+            tuple(sorted(e)) for e in tree_edges}
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
@@ -39,8 +40,7 @@ class TreeDecomposition:
         return adj
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: list[str]
     width: int
 
@@ -251,8 +251,7 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     return TreeDecomposition(bags, tree_edges)
 
 
-@dataclass
-class ShallowDecomposition:
+class ShallowDecomposition(NamedTuple):
     """A rooted binary tree decomposition with recorded depth and width."""
 
     bags: dict[int, frozenset[int]]

@@ -300,6 +300,19 @@ def test_build_shares_tables_across_equal_chains():
     assert sum(map(len, ev.relevant)) < 20_000
 
 
+def test_forgetting_early_narrows_the_memory_tests_instance():
+    """Each bag gadget forgets a vertex as soon as no part left to join
+    holds it: on grid-strip n = 1024 (width-3 chain decomposition) the
+    parse tree's order stays <= 8 and the relevant states under 11,000
+    (forgetting only at the end of each gadget gave 10 and 12,081)."""
+    g, td = _family("grid-strip", 1024, random.Random(5))
+    tree, automaton = prepare(g, "simple-path", 1, 1024, td)
+    assert tree.max_order <= 8
+    ev = Evaluator(automaton, 2)
+    ev.build(tree)
+    assert sum(map(len, ev.relevant)) < 11_000
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("RUN_SLOW") != "1",
                     reason="wall-time evidence; set RUN_SLOW=1")

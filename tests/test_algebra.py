@@ -125,6 +125,18 @@ def test_order_at_most_twice_the_largest_bag():
         assert t.max_order <= 2 * max_bag, (t.max_order, max_bag)
 
 
+def test_no_join_has_an_empty_child():
+    """A bag with no parts gives no fragment, so no join takes a bare
+    const0 leaf (every automaton maps such a join to the identity)."""
+    for name in ("path", "cycle", "grid-strip"):
+        for n in (16, 64, 256):
+            g, td = _family(name, n, random.Random(n))
+            for d in (td, heuristic_decomposition(g)):
+                t = build_parse_tree(balance(d, g), g)
+                assert not [u.nid for u in t.nodes if u.op == ("join",)
+                            and any(c.op == ("const0",) for c in u.children)]
+
+
 def test_depth_logarithmic_on_chain():
     n = 1 << 12
     g = make_graph(n, [(i, i + 1) for i in range(1, n)])

@@ -90,6 +90,23 @@ def test_oracle_check_passes(k3_file, capsys):
     assert code == 0
 
 
+def test_oracle_check_fails_on_short_output(tmp_path, capsys, monkeypatch):
+    """Too few values are a mismatch: the 2 x 12 strip has >= 50 paths."""
+    e = ([(2 * i - 1, 2 * i) for i in range(1, 13)]
+         + [(v, v + 2) for v in range(1, 23)])
+    p = tmp_path / "strip2x12.gr"
+    p.write_text(f"p kbest 24 {len(e)} 0\n" + "".join(
+        f"e {a} {b} {(3 * a + b) % 7 + 1}\n" for a, b in e))
+    k_best = twkbest.cli.k_best
+    monkeypatch.setattr(twkbest.cli, "k_best",
+                        lambda *a, **kw: k_best(*a, **kw)[:5])
+    code, out, err = run(capsys, "ksp", "--graph", str(p), "--source", "1",
+                         "--target", "24", "-k", "50", "--oracle-check")
+    assert code == 3
+    assert out.count("\n") == 5
+    assert err.startswith("oracle mismatch:")
+
+
 def test_directed_override(k3_file, capsys):
     # Directed, only the forward orientation remains: 1->2->3 is the sole path.
     code, out, _ = run(capsys, "ksp", "--graph", k3_file, "--source", "1",
@@ -301,16 +318,16 @@ K4 = ("p kbest 4 6 0\ne 1 2 1\ne 1 3 1\ne 1 4 1\ne 2 3 1\ne 2 4 1\n"
       "e 3 4 1\n")
 TIE_GOLDEN = [
     (PATH12, ("solve", "--problem", "vertex-cover", "-k", "6"), [
-        (0, "v2 v4 v5 v7 v9 v11"),
-        (0, "v2 v4 v5 v7 v8 v9 v11"),
-        (0, "v2 v4 v5 v7 v8 v9 v11 v12"),
-        (0, "v2 v4 v5 v7 v9 v11 v12"),
-        (0, "v2 v4 v5 v7 v8 v10 v12"),
-        (0, "v2 v4 v5 v7 v8 v10 v11"),
+        (0, "v1 v3 v5 v6 v8 v10 v12"),
+        (0, "v1 v3 v5 v6 v8 v10 v11"),
+        (0, "v1 v3 v5 v6 v8 v10 v11 v12"),
+        (0, "v1 v3 v5 v6 v8 v9 v10 v12"),
+        (0, "v1 v3 v5 v6 v8 v9 v11 v12"),
+        (0, "v1 v3 v5 v6 v8 v9 v11"),
     ]),
     (STRIP_2X6, ("ksp", "--source", "1", "--target", "12", "-k", "8"), [
-        (6, "e1 e2 e3 e4 e10 e15"),
         (6, "e1 e2 e3 e4 e5 e16"),
+        (6, "e1 e2 e3 e4 e10 e15"),
         (6, "e1 e2 e3 e9 e10 e14"),
         (6, "e6 e7 e8 e9 e10 e11"),
         (6, "e1 e7 e8 e9 e10 e12"),
@@ -372,6 +389,19 @@ def test_strip_2x24_balances_to_width_7(tmp_path, capsys):
                        "--td", str(tmp_path / "g.td"))
     assert code == 0
     assert int(re.match(r"width=(\d+) ", out).group(1)) <= 7
+
+
+def test_strip_2x24_order_at_most_8(tmp_path, capsys):
+    """Forgetting each vertex once no part left to join holds it keeps the
+    balanced strip's parse tree at order <= 8 (10 when every vertex of a
+    bag lived to the gadget's last join)."""
+    (tmp_path / "g.gr").write_text(STRIP_2X24)
+    (tmp_path / "g.td").write_text(STRIP_2X24_TD)
+    code, _, err = run(capsys, "ksp", "--graph", str(tmp_path / "g.gr"),
+                       "--td", str(tmp_path / "g.td"), "--source", "1",
+                       "--target", "48", "-k", "1", "--stats")
+    assert code == 0
+    assert int(re.search(r" max_order=(\d+) ", err).group(1)) <= 8
 
 
 @pytest.mark.parametrize("text,argv,td", [
