@@ -1,24 +1,24 @@
-"""Full binary parse trees over the derived hypergraph algebra.
+"""Parse trees over the derived hypergraph algebra.
 
-Node operators (all inner nodes have exactly two children):
+Node operators (``join`` and ``attach`` have two children, ``fuse`` and
+``proj`` one, leaves none):
 
-* ``('const0',)``                  -- empty hypergraph leaf
-* ``('vertex',)``                  -- one-source hypergraph leaf (a copy of a
-                                      graph vertex; at most one leaf per
-                                      vertex is flagged as its introducer)
+* ``('const0',)``                  -- empty hypergraph leaf; only the root of
+                                      a graph with no parts
+* ``('vertex',)``                  -- one-source hypergraph leaf introducing a
+                                      graph vertex (one leaf per vertex)
 * ``('edge', label)``              -- single-edge hypergraph leaf, order 2
 * ``('join',)``                    -- disjoint union, sources concatenated
 * ``('fuse', i, j)``               -- fuse sources i and j (0-based, i < j)
-                                      and the right child's dummy vertex into
-                                      one vertex; source j is dropped
-* ``('attach', i)``                -- fuse only the right child's vertex into
+                                      into one vertex; source j is dropped
+* ``('attach', i)``                -- fuse the right child's vertex into
                                       source i; order unchanged
 * ``('proj', alpha)``              -- reindex sources: new source k is old
-                                      source alpha[k]; right child is const0
+                                      source alpha[k]
 
 ``fuse``/``attach`` are the derived theta' operators (theta composed with a
-source-dropping sigma; attach is the i == j case used to splice a vertex's
-introducing leaf into an existing copy).
+source-dropping sigma; attach splices a vertex's introducing leaf into an
+existing copy).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ class ParseNode:
 
     def __init__(self, op, children, srcs, feature=None, nid=-1):
         self.op = op
-        self.children = children        # () for leaves, 2-tuple for inner
+        self.children = children        # () for leaves, else 1- or 2-tuple
         self.srcs = srcs                # tuple of global vertex ids
         self.feature = feature          # FeatureId introduced here, or None
         self.nid = nid
@@ -64,7 +64,7 @@ class ParseTree(NamedTuple):
 
 
 def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
-    """Translate a shallow decomposition into a full binary parse tree.
+    """Translate a shallow decomposition into a parse tree.
 
     Each decomposition bag becomes a constant-size gadget: join the child
     fragments and the leaves of edges assigned to this bag, fuse duplicate
@@ -144,11 +144,8 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         nodes.append(node)
         return node
 
-    def vertex_leaf(v: int, introduce: bool) -> ParseNode:
-        feat = vertex(v) if introduce else None
-        node = mk(("vertex",), (), (v,), feat)
-        if introduce:
-            introducer[feat] = node
+    def vertex_leaf(v: int) -> ParseNode:
+        node = introducer[vertex(v)] = mk(("vertex",), (), (v,), vertex(v))
         return node
 
     def fuse_duplicates(cur: ParseNode) -> ParseNode:
@@ -163,22 +160,19 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
             if hit is None:
                 return cur
             i, j = hit
-            dummy = vertex_leaf(cur.srcs[j], False)
-            srcs = cur.srcs[:j] + cur.srcs[j + 1:]
-            cur = mk(("fuse", i, j), (cur, dummy), srcs)
+            cur = mk(("fuse", i, j), (cur,), cur.srcs[:j] + cur.srcs[j + 1:])
 
     def project(cur: ParseNode, keep: tuple) -> ParseNode:
         """Splice in the introducing leaf of each source not in keep that
         still lacks one, then reindex the sources to keep."""
         for v in sorted(cur.srcs):
             if v not in keep and vertex(v) not in introducer:
-                dummy = vertex_leaf(v, True)
-                cur = mk(("attach", cur.srcs.index(v)), (cur, dummy), cur.srcs)
+                leaf = vertex_leaf(v)
+                cur = mk(("attach", cur.srcs.index(v)), (cur, leaf), cur.srcs)
         pos_of = {v: k for k, v in enumerate(cur.srcs)}
         alpha = tuple(pos_of[v] for v in keep)
         if alpha != tuple(range(len(cur.srcs))):
-            zero = mk(("const0",), (), ())
-            cur = mk(("proj", alpha), (cur, zero), keep)
+            cur = mk(("proj", alpha), (cur,), keep)
         return cur
 
     def build_bag(b: int) -> ParseNode | None:
@@ -193,7 +187,7 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         copies = {v for p in kids + leaves for v in p.srcs}
         for v in introduced_here:
             if v not in copies:
-                leaves.append(vertex_leaf(v, True))
+                leaves.append(vertex_leaf(v))
         p = parent[b]
         shared = bags[b] & bags[p] if p is not None else set()
 
@@ -231,9 +225,8 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     # Heights in postorder, where children precede their parent.
     height = [0] * len(nodes)
     for u in nodes:
-        if u.children:
-            a, b = u.children
-            height[u.nid] = 1 + max(height[a.nid], height[b.nid])
+        for c in u.children:
+            height[u.nid] = max(height[u.nid], 1 + height[c.nid])
     max_order = max(len(n.srcs) for n in nodes)
     return ParseTree(root, nodes, height[root.nid], max_order, introducer, g)
 
@@ -312,7 +305,15 @@ def evaluate_hypergraph(t: ParseTree) -> Hypergraph:
             if u.feature is None or len(u.srcs) != 2:
                 raise ParseTreeError("edge leaf without feature or wrong order")
             return Hypergraph(verts, {u.feature: (u.op[1], (a1, a2))}, (a1, a2))
+        if len(u.children) != (1 if op in ("fuse", "proj") else 2):
+            raise ParseTreeError(f"{op} node with {len(u.children)} children")
         left = walk(u.children[0])
+        if op == "fuse":
+            i, j = u.op[1], u.op[2]
+            fused = fuse_atoms(left, [left.src[i], left.src[j]])
+            return fused._replace(src=fused.src[:j] + fused.src[j + 1:])
+        if op == "proj":
+            return left._replace(src=tuple(left.src[a] for a in u.op[1]))
         right = walk(u.children[1])
         if op == "join":
             verts = dict(left.verts) | dict(right.verts)
@@ -323,27 +324,13 @@ def evaluate_hypergraph(t: ParseTree) -> Hypergraph:
                 raise ParseTreeError(f"edge features duplicated: {dup}")
             return Hypergraph(verts, dict(left.hyperedges) | dict(right.hyperedges),
                               left.src + right.src)
-        if op in ("fuse", "attach"):
+        if op == "attach":
             if right.hyperedges or len(right.src) != 1:
-                raise ParseTreeError("fuse/attach right child must be a vertex leaf")
+                raise ParseTreeError("attach right child must be a vertex leaf")
             verts = dict(left.verts) | dict(right.verts)
             merged = Hypergraph(verts, dict(left.hyperedges), left.src + right.src)
-            if op == "fuse":
-                i, j = u.op[1], u.op[2]
-                atoms = [merged.src[i], merged.src[j], merged.src[-1]]
-                merged = fuse_atoms(merged, atoms)
-                src = merged.src[:j] + merged.src[j + 1:-1]
-            else:
-                i = u.op[1]
-                merged = fuse_atoms(merged, [merged.src[i], merged.src[-1]])
-                src = merged.src[:-1]
-            return Hypergraph(merged.verts, merged.hyperedges, src)
-        if op == "proj":
-            if right.verts or right.src:
-                raise ParseTreeError("proj right child must be const0")
-            alpha = u.op[1]
-            return Hypergraph(left.verts, left.hyperedges,
-                              tuple(left.src[a] for a in alpha))
+            merged = fuse_atoms(merged, [merged.src[u.op[1]], merged.src[-1]])
+            return merged._replace(src=merged.src[:-1])
         raise ParseTreeError(f"unknown operator {u.op}")
 
     h = walk(t.root)

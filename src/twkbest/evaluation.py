@@ -127,20 +127,21 @@ class Evaluator:
 
         Bottom-up, each distinct state is interned once as an int with its
         ``state_key``; a node's table maps those ints to its feature sets
-        (leaves) or flat fitting child pairs a1, b1, a2, b2, ... (a, then b,
-        in key order), and its realizable set is its ints in key order.  A
-        (signature, children's realizable sets) memo hit shares both.  A
-        node is live if it is a leaf whose feature has the automaton's kind
-        or if it has a live child; only live nodes keep their tables.  A
-        constant node denotes only the empty set: each realizable state of a
-        constant leaf lists it once, and each of a constant inner node has
-        one pair.
+        (leaves) or its fitting child states, flat: pairs a1, b1, a2, b2, ...
+        under a two-child node (a, then b, in key order), a1, a2, ... under
+        a one-child ``fuse`` or ``proj``.  Its realizable set is its ints in
+        key order.  A (signature, children's realizable sets) memo hit shares
+        both.  A node is live if it is a leaf whose feature has the
+        automaton's kind or if it has a live child; only live nodes keep
+        their tables.  A constant node denotes only the empty set: each
+        realizable state of a constant leaf lists it once, and each of a
+        constant inner node has one fitting tuple, of the node's arity.
 
         Top-down, the walk visits chain tops: the root and the children of
         joins with two live sides.  The root state gets id 0.  From a top's
         states in id order, it follows the chain's one-live-side steps down
         to the live leaf or join at its bottom, expanding each top state into
-        the sequence of live-side states its pairs name.  The bottom's
+        the sequence of live-side states its entries name.  The bottom's
         entries over that sequence are the top state's list: a leaf's
         (value, feature set) entries, stably sorted by value, or a join's
         pairs renamed to the children's ids by first appearance, which
@@ -179,24 +180,35 @@ class Evaluator:
                     assert all(s == [frozenset()] for s in leaf.values()), \
                         f"constant leaf {pn.nid} denotes a nonempty solution"
                 continue
-            c1, c2 = pn.children
+            c1 = pn.children[0]
+            c2 = pn.children[1] if len(pn.children) == 2 else None
             sig = automaton.signature(pn)
-            memo_key = (sig, realizable.pop(c1.nid), realizable.pop(c2.nid))
+            if c2 is None:
+                memo_key = (sig, realizable.pop(c1.nid))
+            else:
+                memo_key = (sig, realizable.pop(c1.nid), realizable.pop(c2.nid))
             if memo_key not in pair_memo:
                 pairs: dict = {}
-                for a in memo_key[1]:
-                    q1 = states[a]
-                    for b in memo_key[2]:
-                        q = automaton.delta(sig, q1, states[b])
+                if c2 is None:
+                    for a in memo_key[1]:
+                        q = automaton.delta(sig, states[a])
                         if q is not None:
-                            pairs.setdefault(intern(q), []).extend((a, b))
+                            pairs.setdefault(intern(q), []).append(a)
+                else:
+                    for a in memo_key[1]:
+                        q1 = states[a]
+                        for b in memo_key[2]:
+                            q = automaton.delta(sig, q1, states[b])
+                            if q is not None:
+                                pairs.setdefault(intern(q), []).extend((a, b))
                 table = {q: tuple(p) for q, p in pairs.items()}
                 pair_memo[memo_key] = table, tuple(sorted(table, key=order))
             table, realizable[pn.nid] = pair_memo[memo_key]
-            if c1.nid in live or c2.nid in live:
+            if c1.nid in live or c2 is not None and c2.nid in live:
                 live[pn.nid] = table
             else:
-                assert all(len(p) == 2 for p in table.values()), \
+                arity = len(pn.children)
+                assert all(len(p) == arity for p in table.values()), \
                     f"constant node {pn.nid} denotes the empty set twice"
         root = sid.get(automaton.root_state())
         tops = [root] if root in realizable.pop(tree.root.nid) else []
@@ -221,21 +233,22 @@ class Evaluator:
         stack = [(tree.root, tops)]
         while stack:
             pn, tops = stack.pop()
-            steps = []                   # (table, live side) down the chain
+            steps = []                   # (table, live side, arity) per step
             while not pn.is_leaf():
-                c1, c2 = pn.children
-                if c1.nid in live and c2.nid in live:
+                kids = pn.children
+                if len(kids) == 2 and kids[0].nid in live \
+                        and kids[1].nid in live:
                     break
-                side = 0 if c1.nid in live else 1
-                steps.append((live.pop(pn.nid), side))
-                pn = pn.children[side]
+                side = 0 if kids[0].nid in live else 1
+                steps.append((live.pop(pn.nid), side, len(kids)))
+                pn = kids[side]
             table = live.pop(pn.nid)
-            memo_key = (tuple((id(t), side) for t, side in steps), id(table),
+            memo_key = (tuple((id(t), side) for t, side, _ in steps), id(table),
                         tuple(tops))
             if memo_key not in memo:
                 seqs = [[q] for q in tops]
-                for t, side in steps:
-                    seqs = [[x for q in seq for x in t[q][side::2]]
+                for t, side, arity in steps:
+                    seqs = [[x for q in seq for x in t[q][side::arity]]
                             for seq in seqs]
                 seq_key = (id(table), tuple(map(tuple, seqs)))
                 if seq_key not in memo:

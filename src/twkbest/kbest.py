@@ -88,6 +88,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     stats.tree_depth = tree.depth
     stats.max_order = tree.max_order
     v0 = initial_version(tree, automaton)
+    del tree                             # the enumeration reads only v0
     stats.state_count = sum(map(len, v0.evaluator.relevant))
     first, second = best_pair(v0)
     if first is INF:

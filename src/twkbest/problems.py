@@ -21,7 +21,7 @@ State spaces:
 * perfect matching: per-source matched bit; a source may only be projected
   out once matched.
 * vertex cover: per-source membership-promise bit; copies of a vertex must
-  agree, and only the introducing leaf contributes the vertex itself.
+  agree, and a vertex's one vertex leaf (its introducer) contributes it.
 """
 from __future__ import annotations
 
@@ -70,8 +70,10 @@ class EvalAutomaton:
     def _flag(self, v: int) -> str:
         return "-"
 
-    def delta(self, sig, q1, q2):
-        """Output state for child states (q1, q2), or None if not fitting."""
+    def delta(self, sig, q1, q2=None):
+        """Output state for the child states: q1 alone under the one-child
+        ``fuse`` and ``proj``, (q1, q2) under ``join`` and ``attach``; None
+        if they do not fit."""
         raise NotImplementedError
 
     def leaf_table(self, node: ParseNode) -> dict:
@@ -130,26 +132,21 @@ class SimplePathAutomaton(EvalAutomaton):
             return None
         return (tuple(slots), c)
 
-    def delta(self, sig, q1, q2):
+    def delta(self, sig, q1, q2=None):
         op = sig[0]
         s1, c1 = q1
-        s2, c2 = q2
         if op == "join":
+            s2, c2 = q2
             if c1 and c2:
                 return None
             off = len(s1)
             shifted = _renumber(s2, range(off, off + len(s2)))
             return self._prune(list(s1) + shifted, c1 | c2)
-        if op in ("fuse", "attach"):
-            if s2 != (0,) or c2:
-                return None
-            if op == "attach":
-                return q1
-            i, j = sig[1], sig[2]
-            return self._fuse(list(s1), c1, i, j)
+        if op == "attach":
+            return q1
+        if op == "fuse":
+            return self._fuse(list(s1), c1, sig[1], sig[2])
         if op == "proj":
-            if s2 != () or c2:
-                return None
             return self._proj(sig, list(s1), c1)
         return None
 
@@ -243,7 +240,7 @@ class SpanningTreeAutomaton(EvalAutomaton):
     def _canon(blocks):
         return tuple(sorted(tuple(sorted(b)) for b in blocks if b))
 
-    def delta(self, sig, q1, q2):
+    def delta(self, sig, q1, q2=None):
         op = sig[0]
         if op == "join":
             if q1 == DONE or q2 == DONE:
@@ -252,7 +249,7 @@ class SpanningTreeAutomaton(EvalAutomaton):
             off = sum(len(b) for b in q1)
             return self._canon(list(q1) + [tuple(p + off for p in b) for b in q2])
         if op in ("fuse", "attach"):
-            if q2 != ((0,),) or q1 == DONE:
+            if q1 == DONE:
                 return None
             if op == "attach":
                 return q1
@@ -270,9 +267,7 @@ class SpanningTreeAutomaton(EvalAutomaton):
                                            for p in b if p != j)))
             return self._canon(merged)
         if op == "proj":
-            if q2 != ():
-                return None
-            alpha, r_in, dropped = sig[1], sig[2], sig[3]
+            alpha, r_in = sig[1], sig[2]
             if q1 == DONE:
                 return DONE if alpha == () and r_in == 0 else None
             if r_in == 0:
@@ -309,15 +304,13 @@ class PerfectMatchingAutomaton(EvalAutomaton):
     def root_state(self):
         return ()
 
-    def delta(self, sig, q1, q2):
+    def delta(self, sig, q1, q2=None):
         op = sig[0]
         if op == "join":
             return q1 + q2
-        if op in ("fuse", "attach"):
-            if q2 != (0,):
-                return None
-            if op == "attach":
-                return q1
+        if op == "attach":
+            return q1
+        if op == "fuse":
             i, j = sig[1], sig[2]
             if q1[i] + q1[j] > 1:
                 return None              # a vertex matched twice
@@ -326,9 +319,7 @@ class PerfectMatchingAutomaton(EvalAutomaton):
             del merged[j]
             return tuple(merged)
         if op == "proj":
-            if q2 != ():
-                return None
-            alpha, r_in, dropped = sig[1], sig[2], sig[3]
+            alpha, dropped = sig[1], sig[3]
             for p, _ in dropped:
                 if q1[p] != 1:
                     return None          # every vertex must end up matched
@@ -354,27 +345,19 @@ class VertexCoverAutomaton(EvalAutomaton):
     def root_state(self):
         return ()
 
-    def delta(self, sig, q1, q2):
+    def delta(self, sig, q1, q2=None):
         op = sig[0]
         if op == "join":
             return q1 + q2
-        if op in ("fuse", "attach"):
-            if len(q2) != 1:
-                return None
-            if op == "attach":
-                i = sig[1]
-                return q1 if q1[i] == q2[0] else None
+        if op == "attach":
+            return q1 if q1[sig[1]] == q2[0] else None
+        if op == "fuse":
             i, j = sig[1], sig[2]
-            if not (q1[i] == q1[j] == q2[0]):
+            if q1[i] != q1[j]:
                 return None              # copies of a vertex must agree
-            merged = list(q1)
-            del merged[j]
-            return tuple(merged)
+            return q1[:j] + q1[j + 1:]
         if op == "proj":
-            if q2 != ():
-                return None
-            alpha = sig[1]
-            return tuple(q1[a] for a in alpha)
+            return tuple(q1[a] for a in sig[1])
         return None
 
     def leaf_table(self, node: ParseNode):
@@ -383,9 +366,7 @@ class VertexCoverAutomaton(EvalAutomaton):
         if op == "const0":
             return {(): [empty]}
         if op == "vertex":
-            if node.feature is not None:
-                return {(0,): [empty], (1,): [frozenset({node.feature})]}
-            return {(0,): [empty], (1,): [empty]}
+            return {(0,): [empty], (1,): [frozenset({node.feature})]}
         if op == "edge":
             # at least one endpoint promises to be in the cover
             return {(0, 1): [empty], (1, 0): [empty], (1, 1): [empty]}

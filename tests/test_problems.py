@@ -32,15 +32,21 @@ def accumulate(tree, automaton):
         else:
             sig = automaton.signature(pnode)
             a1 = acc[pnode.children[0].nid]
-            a2 = acc[pnode.children[1].nid]
             table = {}
-            for q1 in a1:
-                for q2 in a2:
-                    q = automaton.delta(sig, q1, q2)
-                    if q is None:
-                        continue
-                    table.setdefault(q, []).extend(
-                        s1 | s2 for s1 in a1[q1] for s2 in a2[q2])
+            if len(pnode.children) == 1:     # fuse, proj
+                for q1, sols in a1.items():
+                    q = automaton.delta(sig, q1)
+                    if q is not None:
+                        table.setdefault(q, []).extend(sols)
+            else:
+                a2 = acc[pnode.children[1].nid]
+                for q1 in a1:
+                    for q2 in a2:
+                        q = automaton.delta(sig, q1, q2)
+                        if q is None:
+                            continue
+                        table.setdefault(q, []).extend(
+                            s1 | s2 for s1 in a1[q1] for s2 in a2[q2])
         for q, sols in table.items():
             assert len(sols) == len(set(sols)), \
                 f"duplicate solution at node {pnode.nid} state {q!r}"
@@ -114,8 +120,8 @@ def test_spanning_tree_fuse_merges_blocks():
     # fusing the two sources of a 2-source fragment: states whose blocks are
     # separate merge into one; same-block states are rejected (cycle)
     sig = ("fuse", 0, 1)
-    assert a.delta(sig, ((0,), (1,)), ((0,),)) == ((0,),)
-    assert a.delta(sig, ((0, 1),), ((0,),)) is None
+    assert a.delta(sig, ((0,), (1,))) == ((0,),)
+    assert a.delta(sig, ((0, 1),)) is None
 
 
 @pytest.mark.parametrize("problem", BUILTIN_PROBLEMS)
