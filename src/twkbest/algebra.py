@@ -3,8 +3,6 @@
 Node operators (``join`` and ``attach`` have two children, ``fuse`` and
 ``proj`` one, leaves none):
 
-* ``('const0',)``                  -- empty hypergraph leaf; only the root of
-                                      a graph with no parts
 * ``('vertex',)``                  -- one-source hypergraph leaf introducing a
                                       graph vertex (one leaf per vertex)
 * ``('edge', label)``              -- single-edge hypergraph leaf, order 2
@@ -22,7 +20,6 @@ existing copy).
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .core import FeatureId, WeightedGraph, edge, vertex
@@ -72,7 +69,10 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     vertex's topmost bag, and project down to the interface with the parent
     bag.  Every edge gets exactly one edge leaf and every vertex exactly one
     introducing vertex leaf.  A bag with no parts gives no fragment, so no
-    join takes an empty (``const0``) child.
+    join takes an empty child.  ``sd`` must be valid (``balance`` checks
+    it): then a vertex's topmost bag is the one bag holding it whose parent
+    does not, and an edge's is the deeper of its ends' topmost bags.
+    Equal op tuples are one object.
 
     The parts are joined one at a time (see ``_join_order``).  Next comes
     the part that adds the fewest new vertices, so the running order stays
@@ -90,143 +90,127 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     """
     bags = sd.bags
     children = sd.children
-    root_bag = sd.root
 
-    parent: dict[int, int | None] = {root_bag: None}
-    order: list[int] = [root_bag]
+    parent: dict[int, int | None] = {sd.root: None}
+    top_bag: dict[int, int] = {}
+    order: list[int] = [sd.root]
     for b in order:
+        p = parent[b]
+        for v in bags[b] if p is None else bags[b] - bags[p]:
+            top_bag[v] = b
         for c in children.get(b, ()):
             parent[c] = b
             order.append(c)
 
-    depth_of = {root_bag: 0}
-    for b in order[1:]:
-        depth_of[b] = depth_of[parent[b]] + 1
-
-    # Topmost bag of each vertex (shallowest; ties by bag id for determinism).
-    top_bag: dict[int, int] = {}
-    for b in order:
-        for v in bags[b]:
-            t = top_bag.get(v)
-            if t is None or (depth_of[b], b) < (depth_of[t], t):
-                top_bag[v] = b
-
-    missing = [v for v in range(1, g.n + 1) if v not in top_bag]
-    if missing:
+    if len(top_bag) != g.n:
+        missing = [v for v in range(1, g.n + 1) if v not in top_bag]
         raise ParseTreeError(f"decomposition misses vertices {missing[:5]}")
 
-    holders: dict[int, list[int]] = {}
-    for b in order:
-        for v in bags[b]:
-            holders.setdefault(v, []).append(b)
-
-    # Assign each edge to the topmost bag containing both endpoints.
-    edges_at: dict[int, list[int]] = {b: [] for b in bags}
+    edges_at: dict[int, list[tuple[int, int, int]]] = {}
     for ei, (t, h) in enumerate(g.edges, 1):
-        t_bags, h_bags = holders.get(t, ()), holders.get(h, ())
-        if len(t_bags) > len(h_bags):
-            t_bags = h_bags
-        best = None
-        for b in t_bags:
-            if t in bags[b] and h in bags[b]:
-                if best is None or (depth_of[b], b) < (depth_of[best], best):
-                    best = b
-        if best is None:
-            raise ParseTreeError(f"edge e{ei} covered by no bag")
-        edges_at[best].append(ei)
+        b = top_bag[t]
+        if h not in bags[b]:
+            b = top_bag[h]
+            if t not in bags[b]:
+                raise ParseTreeError(f"edge e{ei} covered by no bag")
+        edges_at.setdefault(b, []).append((ei, t, h))
 
-    label = "fwd" if g.directed else "undir"
+    edge_op = ("edge", "fwd" if g.directed else "undir")
     nodes: list[ParseNode] = []
+    height: list[int] = []               # by nid, recorded as nodes are made
+    ops: dict[tuple, tuple] = {}         # equal op tuples are one object
     introducer: dict[FeatureId, ParseNode] = {}
+    introduced: set[int] = set()         # vertices with an introducing leaf
 
     def mk(op, children_, srcs, feature=None) -> ParseNode:
-        node = ParseNode(op, children_, srcs, feature, nid=len(nodes))
+        node = ParseNode(ops.setdefault(op, op), children_, srcs, feature,
+                         len(nodes))
         nodes.append(node)
+        h = 0
+        for c in children_:
+            if height[c.nid] >= h:
+                h = height[c.nid] + 1
+        height.append(h)
         return node
 
     def vertex_leaf(v: int) -> ParseNode:
-        node = introducer[vertex(v)] = mk(("vertex",), (), (v,), vertex(v))
+        f = vertex(v)
+        introduced.add(v)
+        node = introducer[f] = mk(("vertex",), (), (v,), f)
         return node
 
     def fuse_duplicates(cur: ParseNode) -> ParseNode:
-        while True:
-            seen: dict[int, int] = {}
-            hit = None
-            for k, v in enumerate(cur.srcs):
-                if v in seen:
-                    hit = (seen[v], k)
-                    break
-                seen[v] = k
-            if hit is None:
-                return cur
-            i, j = hit
-            cur = mk(("fuse", i, j), (cur,), cur.srcs[:j] + cur.srcs[j + 1:])
+        """Fuse each later copy of a source into its first, left to right."""
+        srcs = cur.srcs
+        if len(set(srcs)) == len(srcs):
+            return cur
+        pos: dict[int, int] = {}         # vertex -> its first copy's position
+        for v in cur.srcs:
+            if v in pos:
+                j = len(pos)             # the copy's position after the fuses
+                srcs = srcs[:j] + srcs[j + 1:]
+                cur = mk(("fuse", pos[v], j), (cur,), srcs)
+            else:
+                pos[v] = len(pos)
+        return cur
 
     def project(cur: ParseNode, keep: tuple) -> ParseNode:
         """Splice in the introducing leaf of each source not in keep that
         still lacks one, then reindex the sources to keep."""
+        if keep == cur.srcs:
+            return cur
         for v in sorted(cur.srcs):
-            if v not in keep and vertex(v) not in introducer:
+            if v not in keep and v not in introduced:
                 leaf = vertex_leaf(v)
                 cur = mk(("attach", cur.srcs.index(v)), (cur, leaf), cur.srcs)
-        pos_of = {v: k for k, v in enumerate(cur.srcs)}
-        alpha = tuple(pos_of[v] for v in keep)
-        if alpha != tuple(range(len(cur.srcs))):
-            cur = mk(("proj", alpha), (cur,), keep)
-        return cur
+        return mk(("proj", tuple(map(cur.srcs.index, keep))), (cur,), keep)
 
     def build_bag(b: int) -> ParseNode | None:
         kids = [k for k in map(build_bag, children.get(b, ())) if k]
         leaves = []
-        for ei in edges_at[b]:
-            t, h = g.edges[ei - 1]
-            leaf = mk(("edge", label), (), (t, h), edge(ei))
-            introducer[edge(ei)] = leaf
+        for ei, t, h in edges_at.get(b, ()):
+            f = edge(ei)
+            leaf = introducer[f] = mk(edge_op, (), (t, h), f)
             leaves.append(fuse_duplicates(leaf) if t == h else leaf)
-        introduced_here = sorted(v for v in bags[b] if top_bag[v] == b)
-        copies = {v for p in kids + leaves for v in p.srcs}
-        for v in introduced_here:
-            if v not in copies:
-                leaves.append(vertex_leaf(v))
         p = parent[b]
-        shared = bags[b] & bags[p] if p is not None else set()
+        shared = bags[b] & bags[p] if p is not None else frozenset()
+        copies = set().union(*[part.srcs for part in kids + leaves])
+        for v in sorted(bags[b] - shared - copies):  # introduced here
+            leaves.append(vertex_leaf(v))
 
         # Join one part at a time, fusing shared vertices immediately and
         # forgetting the unshared ones no part left to join holds.
-        left = Counter(v for part in leaves + kids for v in part.srcs)
-        cur = None
-        for part in _join_order(leaves + kids):
-            if cur is not None:
-                cur = project(cur, tuple(v for v in cur.srcs
-                                         if v in shared or left[v]))
-                cur = fuse_duplicates(
-                    mk(("join",), (cur, part), cur.srcs + part.srcs))
-            left.subtract(part.srcs)
-            cur = cur or part
+        parts = _join_order(leaves + kids)
+        last: dict[int, int] = {}        # vertex -> last part holding it
+        for i, part in enumerate(parts):
+            for v in part.srcs:
+                last[v] = i
+        cur = parts[0] if parts else None
+        for i in range(1, len(parts)):
+            cur = project(cur, tuple([v for v in cur.srcs
+                                      if v in shared or last[v] >= i]))
+            cur = fuse_duplicates(
+                mk(("join",), (cur, parts[i]), cur.srcs + parts[i].srcs))
         if cur is None:
             return None
 
-        stray = [v for v in cur.srcs if v not in bags[b]]
-        if stray:
+        if not bags[b].issuperset(cur.srcs):
+            stray = [v for v in cur.srcs if v not in bags[b]]
             raise ParseTreeError(f"bag {b}: stray source vertices {stray}")
         # Project to the interface with the parent bag (canonical order);
         # only vertices with a copy in this fragment are passed up.
-        return project(cur, tuple(sorted(v for v in shared if v in cur.srcs)))
+        return project(cur, tuple(sorted(shared.intersection(cur.srcs))))
 
-    root = build_bag(root_bag) or mk(("const0",), (), ())
+    root = build_bag(sd.root)
     del build_bag                        # recursive closure: break the cycle
     if root.order != 0:
         raise ParseTreeError("root fragment still has sources")
 
-    for fid in list(g.vertex_features()) + list(g.edge_features()):
-        if fid not in introducer:
-            raise ParseTreeError(f"feature {fid} has no introducing leaf")
+    if len(introducer) != g.n + g.m:
+        for fid in list(g.vertex_features()) + list(g.edge_features()):
+            if fid not in introducer:
+                raise ParseTreeError(f"feature {fid} has no introducing leaf")
 
-    # Heights in postorder, where children precede their parent.
-    height = [0] * len(nodes)
-    for u in nodes:
-        for c in u.children:
-            height[u.nid] = max(height[u.nid], 1 + height[c.nid])
     max_order = max(len(n.srcs) for n in nodes)
     return ParseTree(root, nodes, height[root.nid], max_order, introducer, g)
 
@@ -245,7 +229,7 @@ def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
     sets = list(by_set)
     joined: frozenset[int] = frozenset()
     out = []
-    while sets:
+    while len(sets) > 1:
         best, best_key = None, None
         for s in sets:
             key = (len(s - joined), -len(s))     # equal new: larger shares more
@@ -254,7 +238,7 @@ def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
         sets.remove(best)
         joined |= best
         out += by_set[best]
-    return out
+    return out + by_set[sets[0]]
 
 
 # --- reference semantics (testing only) -------------------------------------
@@ -292,8 +276,6 @@ def evaluate_hypergraph(t: ParseTree) -> Hypergraph:
 
     def walk(u: ParseNode) -> Hypergraph:
         op = u.op[0]
-        if op == "const0":
-            return Hypergraph({}, {}, ())
         if op == "vertex":
             verts: dict[int, int] = {}
             a = fresh(u.srcs[0], verts)

@@ -219,8 +219,6 @@ class SimplePathAutomaton(EvalAutomaton):
     def leaf_table(self, node: ParseNode):
         op = node.op[0]
         empty = frozenset()
-        if op == "const0":
-            return {((), 0): [empty]}
         if op == "vertex":
             return {((0,), 0): [empty]}
         if op == "edge":
@@ -288,8 +286,6 @@ class SpanningTreeAutomaton(EvalAutomaton):
     def leaf_table(self, node: ParseNode):
         op = node.op[0]
         empty = frozenset()
-        if op == "const0":
-            return {(): [empty]}
         if op == "vertex":
             return {((0,),): [empty]}
         if op == "edge":
@@ -329,8 +325,6 @@ class PerfectMatchingAutomaton(EvalAutomaton):
     def leaf_table(self, node: ParseNode):
         op = node.op[0]
         empty = frozenset()
-        if op == "const0":
-            return {(): [empty]}
         if op == "vertex":
             return {(0,): [empty]}
         if op == "edge":
@@ -363,8 +357,6 @@ class VertexCoverAutomaton(EvalAutomaton):
     def leaf_table(self, node: ParseNode):
         op = node.op[0]
         empty = frozenset()
-        if op == "const0":
-            return {(): [empty]}
         if op == "vertex":
             return {(0,): [empty], (1,): [frozenset({node.feature})]}
         if op == "edge":

@@ -24,7 +24,7 @@ class TreeDecomposition:
     def __init__(self, bags: dict[int, frozenset[int]], tree_edges=()):
         self.bags = bags
         self.tree_edges: set[tuple[int, int]] = {
-            tuple(sorted(e)) for e in tree_edges}
+            (a, b) if a <= b else (b, a) for a, b in tree_edges}
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
@@ -50,45 +50,70 @@ class ValidationReport(NamedTuple):
 
 
 def validate(td: TreeDecomposition, g: WeightedGraph) -> ValidationReport:
-    """Check the three decomposition conditions; violations are data, not errors."""
+    """Check the three decomposition conditions; violations are data, not errors.
+
+    The walk that checks the bag graph is a tree also records each bag's
+    parent.  A bag is a top bag of each vertex it holds and its parent does
+    not (a bag the walk does not reach has no parent).  In a tree, the bags
+    holding v form a subtree exactly when v has one top bag, and an edge
+    (t, h) is covered exactly when h is in t's top bag or t in h's.  Only a
+    vertex with two top bags, or an edge failing that test, takes the
+    per-vertex search or the per-edge scan that writes its report, so the
+    reports do not depend on the shortcut (nor on whether the bag graph is
+    a tree: a vertex with one top bag is connected in any bag graph)."""
     violations: list[str] = []
+    bags = td.bags
     adj = td.neighbors()
 
     # The tree_edges must actually form a tree over the bag ids.
-    if td.bags:
-        seen = set()
-        start = min(td.bags)
+    parent: dict[int, int | None] = {}
+    if bags:
+        start = min(bags)
+        parent[start] = None
         stack = [start]
-        seen.add(start)
         while stack:
             u = stack.pop()
             for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
+                if v not in parent:
+                    parent[v] = u
                     stack.append(v)
-        if len(seen) != len(td.bags):
-            violations.append(f"bag graph is disconnected ({len(seen)} of {len(td.bags)} bags reachable)")
-        if len(td.tree_edges) != len(td.bags) - 1:
-            violations.append(f"bag graph has {len(td.tree_edges)} edges for {len(td.bags)} bags (not a tree)")
+        if len(parent) != len(bags):
+            violations.append(f"bag graph is disconnected ({len(parent)} of {len(bags)} bags reachable)")
+        if len(td.tree_edges) != len(bags) - 1:
+            violations.append(f"bag graph has {len(td.tree_edges)} edges for {len(bags)} bags (not a tree)")
     for a, b in td.tree_edges:
-        if a not in td.bags or b not in td.bags:
+        if a not in bags or b not in bags:
             violations.append(f"tree edge ({a},{b}) references unknown bag")
 
-    covered = set()
-    for bid, b in td.bags.items():
-        covered |= b
-        for v in sorted(v for v in b if not 1 <= v <= g.n):
-            violations.append(f"bag {bid}: vertex {v} outside 1..{g.n}")
-    for v in range(1, g.n + 1):
-        if v not in covered:
-            violations.append(f"vertex {v} appears in no bag")
+    top: dict[int, frozenset[int]] = {}  # vertex -> its first top bag
+    split = set()                        # vertices with two top bags or more
+    for bid, b in bags.items():
+        p = parent.get(bid)
+        for v in b if p is None else b - bags[p]:
+            if v in top:
+                split.add(v)
+            else:
+                top[v] = b
+
+    if top and (min(top) < 1 or max(top) > g.n):
+        for bid, b in bags.items():
+            for v in sorted(v for v in b if not 1 <= v <= g.n):
+                violations.append(f"bag {bid}: vertex {v} outside 1..{g.n}")
+    for v in sorted(set(range(1, g.n + 1)).difference(top)):
+        violations.append(f"vertex {v} appears in no bag")
+
+    empty = frozenset()
+    unsure = [(i, t, h) for i, (t, h) in enumerate(g.edges, 1)
+              if h not in top.get(t, empty) and t not in top.get(h, empty)]
+    if not (unsure or split):
+        return ValidationReport(violations, td.width())
 
     holders: dict[int, list[int]] = {}
-    for bid, b in td.bags.items():
+    for bid, b in bags.items():
         for v in b:
             holders.setdefault(v, []).append(bid)
 
-    for i, (t, h) in enumerate(g.edges, 1):
+    for i, t, h in unsure:
         t_bags = holders.get(t, ())
         h_bags = holders.get(h, ())
         # Scan the smaller holder list against a set of the other.
@@ -99,7 +124,7 @@ def validate(td: TreeDecomposition, g: WeightedGraph) -> ValidationReport:
 
     # Connectivity: for each vertex, bags containing it induce a subtree.
     for v, bag_ids in holders.items():
-        if len(bag_ids) <= 1:
+        if v not in split:
             continue
         want = set(bag_ids)
         start = bag_ids[0]
@@ -261,8 +286,8 @@ class ShallowDecomposition(NamedTuple):
     width: int
 
     def to_tree_decomposition(self) -> TreeDecomposition:
-        edges = {tuple(sorted((p, c))) for p, cs in self.children.items() for c in cs}
-        return TreeDecomposition(dict(self.bags), edges)
+        return TreeDecomposition(dict(self.bags), [
+            (p, c) for p, cs in self.children.items() for c in cs])
 
 
 def _binarize(bags: dict[int, frozenset[int]], children: dict[int, list[int]],
@@ -294,6 +319,14 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     With two marks the split node is chosen on the path between them, so
     marks never accumulate; sizes halve at least every other level, giving
     depth <= DEFAULT_C_DEPTH * ceil(log2(bags+1)).
+
+    Each split makes one walk of its component, rooted at its first mark
+    (or any bag), for parent pointers and subtree sizes: the centroid is
+    found by walking down into any part larger than half, and the path
+    between two marks by following parent pointers.  The parts left by the
+    split come from a separate search (``components_without``): the
+    iteration order of its sets fixes the order of the children, and so the
+    output's bag ids.
     """
     report = validate(td, g)
     if not report.ok:
@@ -301,7 +334,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
 
     in_bags = len(td.bags)
     bags: dict[int, frozenset[int]] = dict(td.bags)
-    adj = {u: list(vs) for u, vs in td.neighbors().items()}
+    adj = td.neighbors()
 
     # Root at the smallest bag id and binarize before splitting.
     root = min(bags)
@@ -336,21 +369,6 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
         out_children[nid] = []
         return nid
 
-    def subtree_sizes(nodes: set[int], start: int) -> dict[int, int]:
-        # Iterative post-order sizes of the tree induced on `nodes`.
-        size = {}
-        stk = [(start, None, False)]
-        while stk:
-            u, p, done = stk.pop()
-            if done:
-                size[u] = 1 + sum(size[w] for w in adj[u] if w in nodes and w != p)
-            else:
-                stk.append((u, p, True))
-                for w in adj[u]:
-                    if w in nodes and w != p:
-                        stk.append((w, u, False))
-        return size
-
     def components_without(nodes: set[int], c: int) -> list[set[int]]:
         comps = []
         left = set(nodes)
@@ -369,65 +387,43 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
             left -= comp
         return comps
 
-    def centroid(nodes: set[int]) -> int:
-        start = min(nodes)
-        size = subtree_sizes(nodes, start)
-        total = len(nodes)
-        best, best_key = None, None
-        for u in nodes:
-            worst = 0
-            below = 0
-            for w in adj[u]:
-                if w in nodes and size.get(w, total) < size[u]:
-                    worst = max(worst, size[w])
-                    below += size[w]
-            worst = max(worst, total - 1 - below)
-            key = (worst, u)
-            if best_key is None or key < best_key:
-                best, best_key = u, key
-        return best
-
-    def tree_path(nodes: set[int], a: int, b: int) -> list[int]:
-        prev = {a: None}
-        stk = [a]
-        while stk:
-            u = stk.pop()
-            if u == b:
-                break
-            for w in adj[u]:
-                if w in nodes and w not in prev:
-                    prev[w] = u
-                    stk.append(w)
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
     def pick_split(nodes: set[int], marks: list[int]) -> int:
-        if len(marks) < 2:
-            return centroid(nodes)
-        # Split on the path between the two marks: every component of
-        # nodes - {c} then holds at most one mark.
-        path = tree_path(nodes, marks[0], marks[1])
-        total = len(nodes)
-        size = subtree_sizes(nodes, marks[0])
-        # hang[i]: nodes in the part hanging at path[i] (path removed).
-        on_path = set(path)
-        hang = []
-        for u in path:
-            h = 1
+        # One walk of the tree induced on `nodes`, rooted at the first mark
+        # (or any node): parent pointers, then subtree sizes bottom-up.
+        start = marks[0] if marks else next(iter(nodes))
+        up = {start: None}
+        walk = [start]
+        for u in walk:
+            p = up[u]
             for w in adj[u]:
-                if w in nodes and w not in on_path and size.get(w, 0) < size.get(u, total):
-                    # w is a child of u off the path
-                    h += size[w]
-            hang.append(h)
-        # Walking from marks[0], take the first node where the prefix
+                if w != p and w in nodes:
+                    up[w] = u
+                    walk.append(w)
+        size = dict.fromkeys(walk, 1)
+        for u in walk[:0:-1]:
+            size[up[u]] += size[u]
+        total = len(nodes)
+        if len(marks) < 2:
+            # Centroid: walk down into any part larger than half.  A part of
+            # exactly half makes its root a second centroid; the smaller id
+            # wins.
+            u = start
+            while True:
+                big = [w for w in adj[u] if w != up[u] and w in nodes
+                       and 2 * size[w] >= total]
+                if not big or 2 * size[big[0]] == total:
+                    return min([u] + big)
+                u = big[0]
+        # Split on the path between the two marks: every component of
+        # nodes - {c} then holds at most one mark.  Walking from marks[0],
+        # take the first node where the part before the next path node
         # reaches half; both mark-side components then have <= total/2.
-        prefix = 0
-        for i, u in enumerate(path):
-            prefix += hang[i]
-            if 2 * prefix >= total or i == len(path) - 1:
+        path = [marks[1]]
+        while path[-1] != start:
+            path.append(up[path[-1]])
+        path.reverse()
+        for u, nxt in zip(path, path[1:]):
+            if 2 * (total - size[nxt]) >= total:
                 return u
         return path[-1]
 

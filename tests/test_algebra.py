@@ -1,4 +1,5 @@
 """Parse-tree construction and reference hypergraph semantics."""
+import hashlib
 import math
 import random
 
@@ -193,3 +194,52 @@ def test_random_graph_reconstruction(data):
     assert hypergraph_matches_graph(h, g)
     feats = [u.feature for u in t.nodes if u.feature is not None]
     assert len(feats) == len(set(feats)) == n + m
+
+
+def _front_end_cases():
+    """The perfbench families at n = 64 and 1024, each on its chain and its
+    min-fill decomposition, then 50 seeded random multigraphs (self-loops,
+    parallel edges, isolated vertices, both orientations) on min-fill."""
+    for name in ("path", "cycle", "grid-strip"):
+        for n in (64, 1024):
+            g, td = _family(name, n, random.Random(n))
+            yield name, g, td
+            yield name, g, heuristic_decomposition(g)
+    rng = random.Random(19)
+    for i in range(50):
+        n = rng.randint(1, 40)
+        g = make_graph(n, [(rng.randint(1, n), rng.randint(1, n))
+                           for _ in range(rng.randint(0, 2 * n))],
+                       directed=i % 2 == 1)
+        yield "random", g, heuristic_decomposition(g)
+
+
+# sha256 prefixes of the balanced decompositions and parse trees of
+# _front_end_cases, per group.  A change that alters their shape on purpose
+# re-pins these and says why.
+FRONT_END_DIGESTS = {
+    "path": ("fcd9b0f56db94a43", "dba949090fce4edd"),
+    "cycle": ("a983f92cbf460cb7", "a5650faebe70b23c"),
+    "grid-strip": ("eb5d680e5934f921", "e094e0216c9196f0"),
+    "random": ("2efae373cb3b91eb", "2ba143ec191506eb"),
+}
+
+
+def test_front_end_output_is_pinned():
+    """balance and build_parse_tree give the same decompositions (bags,
+    children, root) and the same parse trees, node for node, as when the
+    digests were taken; tie orders and golden rows rest on them."""
+    hashes = {}
+    for group, g, td in _front_end_cases():
+        hb, ht = hashes.setdefault(group, (hashlib.sha256(), hashlib.sha256()))
+        sd = balance(td, g)
+        hb.update(repr((sorted((b, sorted(vs)) for b, vs in sd.bags.items()),
+                        sorted(sd.children.items()), sd.root)).encode())
+        t = build_parse_tree(sd, g)
+        for u in t.nodes:
+            ht.update(repr((u.nid, u.op, [c.nid for c in u.children], u.srcs,
+                            u.feature)).encode())
+        ht.update(repr((t.root.nid, t.depth, t.max_order)).encode())
+    got = {group: (hb.hexdigest()[:16], ht.hexdigest()[:16])
+           for group, (hb, ht) in hashes.items()}
+    assert got == FRONT_END_DIGESTS

@@ -180,3 +180,101 @@ def test_fuzz_heuristic_and_balance(g):
     assert sd.depth <= DEFAULT_C_DEPTH * math.ceil(math.log2(len(td.bags) + 1))
     covered = set().union(*sd.bags.values()) if sd.bags else set()
     assert covered == set(range(1, g.n + 1))
+
+
+def reference_validate(td, g):
+    """The plain check: a search over each vertex's bags and an intersection
+    of holder sets per edge, with no top-bag shortcut.  validate must equal
+    it, reports and their order included."""
+    violations = []
+    adj = td.neighbors()
+    if td.bags:
+        start = min(td.bags)
+        seen, stack = {start}, [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) != len(td.bags):
+            violations.append(f"bag graph is disconnected ({len(seen)} of {len(td.bags)} bags reachable)")
+        if len(td.tree_edges) != len(td.bags) - 1:
+            violations.append(f"bag graph has {len(td.tree_edges)} edges for {len(td.bags)} bags (not a tree)")
+    for a, b in td.tree_edges:
+        if a not in td.bags or b not in td.bags:
+            violations.append(f"tree edge ({a},{b}) references unknown bag")
+    covered = set()
+    for bid, b in td.bags.items():
+        covered |= b
+        for v in sorted(v for v in b if not 1 <= v <= g.n):
+            violations.append(f"bag {bid}: vertex {v} outside 1..{g.n}")
+    for v in range(1, g.n + 1):
+        if v not in covered:
+            violations.append(f"vertex {v} appears in no bag")
+    holders = {}
+    for bid, b in td.bags.items():
+        for v in b:
+            holders.setdefault(v, []).append(bid)
+    for i, (t, h) in enumerate(g.edges, 1):
+        if not set(holders.get(t, ())) & set(holders.get(h, ())):
+            violations.append(f"edge e{i}=({t},{h}) has no bag containing both endpoints")
+    for v, bag_ids in holders.items():
+        want = set(bag_ids)
+        seen, stack = {bag_ids[0]}, [bag_ids[0]]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in want and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != want:
+            violations.append(f"vertex {v}: bags {sorted(want - seen)} disconnected from bag {bag_ids[0]}")
+    return violations, td.width()
+
+
+def corrupted(td, g, rng):
+    """td, then one copy per corruption: a vertex dropped from an interior
+    bag, a vertex added to a bag adjacent to none of its bags, a tree edge
+    added, a tree edge removed, a vertex outside 1..n added."""
+    bags, edges = td.bags, td.tree_edges
+    adj = td.neighbors()
+    ids = sorted(bags)
+    yield td
+    interior = [b for b in ids if len(adj[b]) >= 2 and bags[b]]
+    if interior:
+        b = rng.choice(interior)
+        yield TreeDecomposition({**bags, b: bags[b] - {rng.choice(sorted(bags[b]))}}, edges)
+    far = [(b, v) for b in ids for v in range(1, g.n + 1)
+           if v not in bags[b] and not any(v in bags[a] for a in adj[b])
+           and any(v in bags[a] for a in ids)]
+    if far:
+        b, v = rng.choice(far)
+        yield TreeDecomposition({**bags, b: bags[b] | {v}}, edges)
+    if len(ids) >= 3:
+        a, b = rng.sample(ids, 2)
+        yield TreeDecomposition(bags, edges | {(min(a, b), max(a, b))})
+    if edges:
+        yield TreeDecomposition(bags, edges - {rng.choice(sorted(edges))})
+    b = rng.choice(ids)
+    yield TreeDecomposition({**bags, b: bags[b] | {rng.choice([0, -1, g.n + 1])}}, edges)
+
+
+def test_validate_equals_the_plain_check():
+    """The top-bag shortcut changes no report: over min-fill decompositions
+    of seeded random multigraphs (disconnected ones have their roots linked
+    through empty bags) and one-corruption copies of each."""
+    rng = random.Random(19)
+    cases = invalid = 0
+    for i in range(120):
+        n = rng.randint(1, 30)
+        cut = rng.randint(1, n)          # edges stay within 1..cut or beyond
+        edges = []
+        for _ in range(rng.randint(0, 2 * n)):
+            lo, hi = (1, cut) if rng.random() < 0.5 or cut == n else (cut + 1, n)
+            edges.append((rng.randint(lo, hi), rng.randint(lo, hi)))
+        g = WeightedGraph(n, len(edges), i % 2 == 1, tuple(edges))
+        for td in corrupted(heuristic_decomposition(g), g, rng):
+            rep = validate(td, g)
+            assert (rep.violations, rep.width) == reference_validate(td, g)
+            cases += 1
+            invalid += not rep.ok
+    assert cases >= 500 and invalid >= 300, (cases, invalid)
