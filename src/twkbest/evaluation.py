@@ -13,7 +13,9 @@ then top-down over the contracted tree's nodes only, numbering their states
 and composing the unary chains between them.  Each node holds per-state
 values, canonical chosen decompositions per rank, and solution IDs
 satisfying the discriminating property: two (state, rank) entries of one
-node carry the same ID iff they denote the same solution.
+node carry the same ID iff they denote the same solution.  A solution's ID
+is its decomposition, unless some node lists one solution in two states
+(vertex cover's promise bits do); then inner nodes intern ID pairs.
 Values add exactly; ``kbest`` range-checks only the values it reports.
 """
 from __future__ import annotations
@@ -75,8 +77,9 @@ class EvalNode:
     table:  k-tuple of values
     chosen: per-rank decomposition: a leaf's feature set, or
             (i1, r1, i2, r2) naming child state ids and ranks
-    ids:    per-rank solution ID (discriminating within the node); at
-            leaves the same list as chosen, since IDs are feature sets
+    ids:    per-rank solution ID (discriminating within the node); the
+            same list as chosen at leaves, and at inner nodes unless the
+            Evaluator's ``decomp_ids`` is False
     """
 
     __slots__ = ("eid", "children", "table", "ids", "chosen")
@@ -119,11 +122,15 @@ class Evaluator:
         # via fitting chains.
         self.relevant: list[list] = []
         self.feature: list = []          # eid -> a leaf's feature, else None
+        # True if no node lists one solution in two entries: then distinct
+        # decompositions denote distinct solutions (by induction from the
+        # leaves, as sibling subtrees' feature sets are disjoint).
+        self.decomp_ids = True
 
     def _compute_relevant(self, tree: ParseTree) -> list[bool]:
         """The only pass that calls the automaton and orders states; fills
         ``relevant`` and ``feature`` by eid, in preorder from the root, and
-        returns whether each evaluation node is a join.
+        ``decomp_ids``, and returns whether each evaluation node is a join.
 
         Bottom-up, each distinct state is interned once as an int with its
         ``state_key``; a node's table maps those ints to its feature sets
@@ -267,6 +274,9 @@ class Evaluator:
                     # A repeat would be a duplicate solution: never dropped.
                     assert all(len(set(x)) == len(x) for x in lists), \
                         "duplicate composite entry"
+                    if self.decomp_ids:  # until the first repeat
+                        self.decomp_ids = (len(set().union(*lists))
+                                           == sum(map(len, lists)))
                     memo[seq_key] = lists, list(ids1), list(ids2)
                 memo[memo_key] = memo[seq_key]
             lists, tops1, tops2 = memo[memo_key]
@@ -312,8 +322,8 @@ class Evaluator:
         k = self.k
         rel = self.relevant[eid]
         n = len(rel)
-        table, chosen, ids = [None] * n, [None] * n, [None] * n
-        key_map: dict = {}
+        table, chosen = [None] * n, [None] * n
+        ids, key_map = (chosen, None) if self.decomp_ids else ([None] * n, {})
         for q, plist in enumerate(rel):
             cands = []
             for pidx, (i1, i2) in enumerate(plist):
@@ -338,9 +348,10 @@ class Evaluator:
             top = cands[:k]
             table[q] = tuple(c[0] for c in top) + (INF,) * (k - len(top))
             chosen[q] = tuple(c[5] for c in top)
-            ids[q] = tuple(key_map.setdefault(
-                (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
-                for i1, r1, i2, r2 in chosen[q])
+            if key_map is not None:
+                ids[q] = tuple(key_map.setdefault(
+                    (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
+                    for i1, r1, i2, r2 in chosen[q])
         return EvalNode(eid, (ch1, ch2), table, ids, chosen)
 
     def build(self, tree: ParseTree) -> EvalNode:

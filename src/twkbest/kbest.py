@@ -35,17 +35,11 @@ class RunStats:
     __slots__ = ("expansions", "max_copies", "exhausted_after", "infeasible",
                  "tree_depth", "max_order", "state_count")
 
-    def __init__(self, expansions: int = 0, max_copies: int = 0,
-                 exhausted_after: int | None = None, infeasible: bool = False,
-                 tree_depth: int = 0, max_order: int = 0,
-                 state_count: int = 0):
-        self.expansions = expansions
-        self.max_copies = max_copies
-        self.exhausted_after = exhausted_after
-        self.infeasible = infeasible
-        self.tree_depth = tree_depth
-        self.max_order = max_order
-        self.state_count = state_count
+    def __init__(self):
+        self.expansions = self.max_copies = 0
+        self.exhausted_after: int | None = None
+        self.infeasible = False
+        self.tree_depth = self.max_order = self.state_count = 0
 
 
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,

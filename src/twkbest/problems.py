@@ -17,7 +17,7 @@ State spaces:
   segment starts/ends.  Two open ends fuse only if their ``DIR``s sum to 0,
   and then each partner keeps its label and takes the other as its pair.
 * spanning tree: partition of the sources into connected blocks, or the
-  order-0 sentinels ``()`` (nothing seen) and ``'D'`` (finished tree).
+  order-0 sentinel ``'D'`` (finished tree).
 * perfect matching: per-source matched bit; a source may only be projected
   out once matched.
 * vertex cover: per-source membership-promise bit; copies of a vertex must
@@ -239,16 +239,13 @@ class SpanningTreeAutomaton(EvalAutomaton):
         return tuple(sorted(tuple(sorted(b)) for b in blocks if b))
 
     def delta(self, sig, q1, q2=None):
+        if DONE in (q1, q2):
+            return None                  # more graph beside a finished tree
         op = sig[0]
         if op == "join":
-            if q1 == DONE or q2 == DONE:
-                other = q2 if q1 == DONE else q1
-                return (q1 if q1 == DONE else q2) if other == () else None
             off = sum(len(b) for b in q1)
             return self._canon(list(q1) + [tuple(p + off for p in b) for b in q2])
         if op in ("fuse", "attach"):
-            if q1 == DONE:
-                return None
             if op == "attach":
                 return q1
             i, j = sig[1], sig[2]
@@ -265,11 +262,7 @@ class SpanningTreeAutomaton(EvalAutomaton):
                                            for p in b if p != j)))
             return self._canon(merged)
         if op == "proj":
-            alpha, r_in = sig[1], sig[2]
-            if q1 == DONE:
-                return DONE if alpha == () and r_in == 0 else None
-            if r_in == 0:
-                return q1 if alpha == () else None
+            alpha = sig[1]
             keep = set(alpha)
             if not keep:
                 return DONE if len(q1) == 1 else None

@@ -187,6 +187,42 @@ def test_solution_ids_discriminate(problem, kw):
                     assert same_id == (s1 == s2)
 
 
+@pytest.mark.parametrize("problem,directed", [
+    ("simple-path", False),
+    ("simple-path", True),
+    ("spanning-tree", False),
+    ("perfect-matching", False),
+    ("vertex-cover", False),
+])
+def test_decompositions_are_ids_unless_a_node_repeats_a_solution(problem,
+                                                                 directed):
+    """``Evaluator.decomp_ids`` is True exactly when no node has two entries
+    denoting one solution, and then every node's IDs are its decompositions.
+    Graphs have at most 4 edges and 4 vertices, so k = 16 (every feature
+    set) truncates no table.  Vertex cover's promise bits repeat solutions
+    on P3; no other automaton repeats one."""
+    rng = random.Random(f"{problem} {directed}")
+    graphs = []
+    for _ in range(30):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        graphs.append(make_graph(
+            n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(m)],
+            [rng.randint(-5, 9) for _ in range(m)], directed))
+    if problem == "vertex-cover":
+        graphs.append(P3)
+    for g in graphs:
+        kw = dict(s=1, t=g.n) if problem == "simple-path" else {}
+        t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
+        ev = Evaluator(builtin(problem, g, **kw), 16)
+        nodes = all_eval_nodes(ev.build(t))
+        dens = [list(_denotations(u).values()) for u in nodes]
+        assert ev.decomp_ids == all(len(set(d)) == len(d) for d in dens)
+        assert ev.decomp_ids or problem == "vertex-cover"
+        if ev.decomp_ids:
+            assert all(u.ids is u.chosen for u in nodes)
+    assert ev.decomp_ids == (problem != "vertex-cover")   # P3 for vertex cover
+
+
 def test_reconstruction_value_matches_table():
     rng = random.Random(5)
     for _ in range(20):

@@ -87,7 +87,6 @@ def rung(n: int, k: int) -> dict:
             seconds[span[0]] += span[2] - span[1]
     counts, copied = tracer.counts, tracer.copied
     expansions = len(copied) // 2
-    rss_peak = peak_rss_mb()
     figures = {
         "n": n,
         "k": k,
@@ -106,9 +105,7 @@ def rung(n: int, k: int) -> dict:
         "copies_per_constrain": round(sum(copied) / max(len(copied), 1), 1),
         "max_copies": max(copied, default=0),
         "peak_rss_after_build_mb": round(tracer.rss_built, 1),
-        "peak_rss_mb": round(rss_peak, 1),
-        "rss_per_expansion_kb": round(
-            1024 * (rss_peak - tracer.rss_built) / max(expansions, 1), 1),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
     if values is not None:
         figures["values_sha256"] = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
