@@ -315,44 +315,90 @@ class Evaluator:
     def inner_node(self, eid: int, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
         """Each state's table is the ``TopKStructure`` fold of ``merge`` over
-        its pairs of ``combine(t1[i1], t2[i2])``, fused and pruned by r1 + r2
-        >= k.  prefer = (state id, (i1, r1, i2, r2)): force that decomposition
-        to rank 0 of its state among value ties (survivor rule)."""
+        its pairs of ``combine(t1[i1], t2[i2])`` (``_fold``).  prefer =
+        (state id, (i1, r1, i2, r2)): force that decomposition to rank 0 of
+        its state among value ties (survivor rule).
+
+        With k = 2, each other state takes one pass over its pairs that
+        keeps the best two entries in ``_fold``'s order: within a pair (0, 0),
+        then the smaller of (0, 1) and (1, 0), (0, 1) on a tie; a later pair
+        only on a strictly smaller value.  A sum with INF is a float inf (a
+        sum of 64-bit weights cannot overflow a float), never stored."""
         tables1, tables2 = ch1.table, ch2.table
-        k = self.k
         rel = self.relevant[eid]
         n = len(rel)
         table, chosen = [None] * n, [None] * n
         ids, key_map = (chosen, None) if self.decomp_ids else ([None] * n, {})
+        ids1, ids2 = ch1.ids, ch2.ids
+        general = self.k != 2
+        pq, pd = (-1, None) if prefer is None else prefer
         for q, plist in enumerate(rel):
-            cands = []
-            for pidx, (i1, i2) in enumerate(plist):
-                t1, t2 = tables1[i1], tables2[i2]
-                if t1 is None or t2 is None:
+            if general or q == pq:
+                top = self._fold(plist, tables1, tables2,
+                                 pd if q == pq else None)
+                if top is None:
                     continue
-                for r1, v1 in enumerate(t1):
-                    if v1 is INF:
-                        break
-                    for r2, v2 in enumerate(t2):
-                        # (r1, r2) with r1 + r2 >= k is dominated by k earlier-
-                        # sorting combinations, so it can never reach the top k.
-                        if v2 is INF or r1 + r2 >= k:
-                            break
-                        d = (i1, r1, i2, r2)
-                        pref = 0 if prefer == (q, d) else 1
-                        cands.append((v1 + v2, pref, pidx, r1, r2, d))
-            if not cands:
-                continue
-            # (pidx, r1, r2) is unique within a state: d is never compared.
-            cands.sort()
-            top = cands[:k]
-            table[q] = tuple(c[0] for c in top) + (INF,) * (k - len(top))
-            chosen[q] = tuple(c[5] for c in top)
-            if key_map is not None:
-                ids[q] = tuple(key_map.setdefault(
-                    (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
-                    for i1, r1, i2, r2 in chosen[q])
+                table[q], chosen[q] = top
+            else:
+                bv = sv = INF
+                best = second = None
+                for i1, i2 in plist:
+                    t1, t2 = tables1[i1], tables2[i2]
+                    if t1 is None or t2 is None:
+                        continue
+                    a0, a1 = t1
+                    b0, b1 = t2
+                    v = a0 + b0
+                    if v >= sv:
+                        continue
+                    if v < bv:           # the old best or the pair's second
+                        w01, w10 = a0 + b1, a1 + b0
+                        d, w = (((i1, 1, i2, 0), w10) if w10 < w01
+                                else ((i1, 0, i2, 1), w01))
+                        second, sv = (d, w) if w < bv else (best, bv)
+                        best, bv = (i1, 0, i2, 0), v
+                    else:
+                        second, sv = (i1, 0, i2, 0), v
+                if best is None:
+                    continue
+                table[q] = (bv, sv)
+                chosen[q] = (best,) if second is None else (best, second)
+            if key_map is not None:     # a loop is cheaper than a genexpr
+                row = []
+                for i1, r1, i2, r2 in chosen[q]:
+                    row.append(key_map.setdefault(
+                        (ids1[i1][r1], ids2[i2][r2]), len(key_map)))
+                ids[q] = tuple(row)
         return EvalNode(eid, (ch1, ch2), table, ids, chosen)
+
+    def _fold(self, plist, tables1, tables2, prefer) -> tuple | None:
+        """One state's (values, decompositions) over its pairs of child state
+        ids, or None if no pair is realizable: every (r1, r2) with r1 + r2 <
+        k, sorted by (value, preferred, pair index, r1, r2); prefer is the
+        decomposition forced first among its value ties, or None."""
+        k = self.k
+        cands = []
+        for pidx, (i1, i2) in enumerate(plist):
+            t1, t2 = tables1[i1], tables2[i2]
+            if t1 is None or t2 is None:
+                continue
+            for r1, v1 in enumerate(t1):
+                if v1 is INF:
+                    break
+                for r2, v2 in enumerate(t2):
+                    # (r1, r2) with r1 + r2 >= k is dominated by k earlier-
+                    # sorting combinations, so it can never reach the top k.
+                    if v2 is INF or r1 + r2 >= k:
+                        break
+                    d = (i1, r1, i2, r2)
+                    cands.append((v1 + v2, d != prefer, pidx, r1, r2, d))
+        if not cands:
+            return None
+        # (pidx, r1, r2) is unique within a state: d is never compared.
+        cands.sort()
+        top = cands[:k]
+        return (tuple(c[0] for c in top) + (INF,) * (k - len(top)),
+                tuple(c[5] for c in top))
 
     def build(self, tree: ParseTree) -> EvalNode:
         joins = self._compute_relevant(tree)

@@ -88,26 +88,31 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     if first is INF:
         stats.infeasible = True
         return []
-    out = [(check_int64(first), solution_at(v0, 0) if want_solutions else None)]
+    best = solution_at(v0, 0) if want_solutions else None
+    out = [(check_int64(first), best)]
+    # Each entry carries its version's best solution, already in out, from
+    # which solution_at finds the second by difference.
     heap: list = []
     seq = 0
     if second is not INF:
-        heapq.heappush(heap, (second, seq, v0))
+        heapq.heappush(heap, (second, seq, best, v0))
         seq += 1
     last_key = None
     while len(out) < k and heap:
-        key, _, v = heapq.heappop(heap)
+        key, _, best, v = heapq.heappop(heap)
         assert last_key is None or key >= last_key
         last_key = key
-        out.append((check_int64(key),
-                    solution_at(v, 1) if want_solutions else None))
+        sol = solution_at(v, 1, best) if want_solutions else None
+        out.append((check_int64(key), sol))
         report = pivot_query(v)
         for force in (True, False):
             child = constrain(v, report, force)
             stats.max_copies = max(stats.max_copies, child.copied_nodes)
             _, csecond = best_pair(child)
             if csecond is not INF:
-                heapq.heappush(heap, (csecond, seq, child))
+                # The child's best is the survivor: v's best or its second.
+                cbest = best if report.best_contains == force else sol
+                heapq.heappush(heap, (csecond, seq, cbest, child))
                 seq += 1
         stats.expansions += 1
     if len(out) < k:

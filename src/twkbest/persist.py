@@ -12,6 +12,8 @@ The evaluation tree is the contracted parse tree, so a path holds only the
 pivot's leaf and joins with two live sides, never a unary step over a
 constant subtree.  States are named by their per-node ids; the root state
 is id 0.
+A version's second-best solution is read as a difference from its best
+(``solution_at``), along the nodes where the two carry different IDs.
 """
 from __future__ import annotations
 
@@ -60,8 +62,37 @@ def best_pair(v: Version) -> tuple:
     return (vals[0], vals[1])
 
 
-def solution_at(v: Version, rank: int) -> frozenset[FeatureId]:
-    return reconstruct(v.root, 0, rank)
+def solution_at(v: Version, rank: int,
+                best: frozenset[FeatureId] | None = None
+                ) -> frozenset[FeatureId]:
+    """The root state's solution of that rank.  Given ``best``, the rank-0
+    solution, rank 1 is found by difference: like ``pivot_query``, the walk
+    enters only children whose rank-0 and rank-1 entries carry different IDs
+    (equal IDs denote one subsolution), but into both where both differ,
+    and swaps the rank-0 leaves' feature sets for the rank-1 ones.  Without
+    ``best`` the whole tree is read."""
+    if best is None:
+        return reconstruct(v.root, 0, rank)
+    assert rank == 1 and best_pair(v)[1] is not INF
+    dropped: set = set()
+    added: set = set()
+    stack = [(v.root, 0, 0, 0, 1)]
+    while stack:
+        node, qa, ra, qb, rb = stack.pop()
+        da, db = node.chosen[qa][ra], node.chosen[qb][rb]
+        if node.is_leaf():
+            dropped |= da
+            added |= db
+            continue
+        ch1, ch2 = node.children
+        differ1 = ch1.ids[da[0]][da[1]] != ch1.ids[db[0]][db[1]]
+        if differ1:
+            stack.append((ch1, da[0], da[1], db[0], db[1]))
+        if ch2.ids[da[2]][da[3]] != ch2.ids[db[2]][db[3]]:
+            stack.append((ch2, da[2], da[3], db[2], db[3]))
+        else:
+            assert differ1, "two entries of one node denote one solution"
+    return best - dropped | added
 
 
 def pivot_query(v: Version) -> PivotReport:

@@ -327,16 +327,20 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     split come from a separate search (``components_without``): the
     iteration order of its sets fixes the order of the children, and so the
     output's bag ids.
-    """
-    report = validate(td, g)
-    if not report.ok:
-        raise TreeDecompositionError("cannot balance an invalid decomposition: " + report.violations[0])
 
+    ``td`` is not validated up front: the CLI validates a ``--td`` before
+    it runs, and a min-fill decomposition is valid by construction.  The
+    result is validated.  Only when that check fails, or the bag graph is
+    not connected, is ``td`` validated, so that an invalid input is refused
+    with its own first violation (or balances to a valid result anyway).
+    """
     in_bags = len(td.bags)
     bags: dict[int, frozenset[int]] = dict(td.bags)
     adj = td.neighbors()
 
     # Root at the smallest bag id and binarize before splitting.
+    if not bags:
+        _refuse(td, g, "cannot balance a decomposition without bags")
     root = min(bags)
     children: dict[int, list[int]] = {u: [] for u in bags}
     seen = {root}
@@ -348,6 +352,8 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
                 seen.add(v)
                 children[u].append(v)
                 stack.append(v)
+    if len(seen) != in_bags:
+        _refuse(td, g, "cannot balance a disconnected bag graph")
     fresh = [max(bags) + 1]
     _binarize(bags, children, root, fresh)
 
@@ -464,15 +470,24 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     width = max(len(b) for b in out_bags.values()) - 1
     bound = DEFAULT_C_DEPTH * math.ceil(math.log2(in_bags + 1))
     if depth > bound:
-        raise TreeDecompositionError(f"balancer produced depth {depth} > {bound}")
+        _refuse(td, g, f"balancer produced depth {depth} > {bound}")
     if width > 3 * td.width() + 2:
-        raise TreeDecompositionError(f"balancer produced width {width} > {3 * td.width() + 2}")
+        _refuse(td, g, f"balancer produced width {width} > {3 * td.width() + 2}")
     sd = ShallowDecomposition(out_bags, {u: tuple(cs) for u, cs in out_children.items()},
                               out_root, depth, width)
     check = validate(sd.to_tree_decomposition(), g)
     if not check.ok:
-        raise TreeDecompositionError("balancer produced invalid decomposition: " + check.violations[0])
+        _refuse(td, g, "balancer produced invalid decomposition: " + check.violations[0])
     return sd
+
+
+def _refuse(td: TreeDecomposition, g: WeightedGraph, fault: str):
+    """Raise for a failed ``balance``: the input's first violation if it has
+    one, else the balancer's own fault."""
+    report = validate(td, g)
+    if not report.ok:
+        raise TreeDecompositionError("cannot balance an invalid decomposition: " + report.violations[0])
+    raise TreeDecompositionError(fault)
 
 
 def chain_decomposition(g: WeightedGraph) -> TreeDecomposition:

@@ -31,10 +31,11 @@ from twkbest.evaluation import (
     combine_k,
     merge2,
     merge_k,
+    reconstruct,
 )
 from twkbest.persist import best_pair, constrain, initial_version, pivot_query
 from twkbest.kbest import RunStats, k_best, k_best_direct, prepare
-from twkbest import oracle
+from twkbest import kbest, oracle
 
 from test_problems import accumulate
 
@@ -134,6 +135,30 @@ def test_criterion_2_oracle_equivalence_solutions(corpus, capsys):
                     assert pred(g, fs), f"{problem}: infeasible output"
                     assert g.value(fs) == value == ref[pos][0]
     report(capsys, label, " (distinct, feasible, position-wise values)")
+
+
+def test_solutions_by_difference_equal_reconstruct(corpus, monkeypatch):
+    """Each solution ``k_best`` emits after the first is found by difference
+    from its version's best; it equals ``reconstruct`` of the version's
+    rank-1 entry on the whole criterion-1 corpus."""
+    real = kbest.solution_at
+    by_difference = 0
+
+    def checked(v, rank, *best):
+        nonlocal by_difference
+        sol = real(v, rank, *best)
+        assert sol == reconstruct(v.root, 0, rank)
+        by_difference += bool(best)
+        return sol
+
+    monkeypatch.setattr(kbest, "solution_at", checked)
+    for problem, instances in corpus.items():
+        for g, s, t, ref, got in instances:
+            k = max(len(ref), 1)
+            assert k_best(g, problem, k, s=s, t=t, want_solutions=True) == got
+    assert by_difference == sum(max(len(got) - 1, 0)
+                                for instances in corpus.values()
+                                for *_, got in instances)
 
 
 def test_criterion_3_best_pair(corpus, capsys):

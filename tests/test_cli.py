@@ -450,6 +450,52 @@ def test_invalid_td_exits_4(tmp_path, k3_file, capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ksp", "--source", "1", "--target", "99", "-k", "2"),
+    ("ksp", "--source", "1", "--target", "3", "-k", "0"),
+    ("solve", "--problem", "simple-path", "--source", "0", "--target", "3"),
+    ("solve", "--problem", "vertex-cover", "--direct-k", "2", "--solutions"),
+    ("solve", "--problem", "vertex-cover", "-k", "2", "--oracle-check"),
+    ("balance",),
+], ids=["bad-target", "k0", "bad-source-no-k", "direct-k-solutions",
+        "oracle-check", "balance"])
+def test_invalid_td_is_reported_before_any_other_fault(tmp_path, k3_file,
+                                                       capsys, argv):
+    """An invalid --td exits 4 with its violations alone on stderr, even
+    when the run has another fault (pinned before the solver's own
+    validation of a --td was dropped)."""
+    td = tmp_path / "broken.td"
+    td.write_text(K3_TD_BROKEN)
+    code, out, err = run(capsys, argv[0], "--graph", k3_file, "--td", str(td),
+                         *argv[1:])
+    assert (code, out, err) == (
+        4, "", "edge e2=(2,3) has no bag containing both endpoints\n")
+
+
+def test_a_valid_td_is_validated_once(tmp_path, k3_file, capsys,
+                                      monkeypatch):
+    """A run checks its --td once, then the balanced decomposition once."""
+    import twkbest.treedec
+    checked = []
+    real = twkbest.treedec.validate
+
+    def counted(td, g):
+        checked.append(td)
+        return real(td, g)
+
+    monkeypatch.setattr(twkbest.treedec, "validate", counted)
+    monkeypatch.setattr(twkbest.cli, "validate", counted)
+    td = tmp_path / "k3.td"
+    td.write_text(K3_TD)
+    for argv in (("ksp", "--source", "1", "--target", "3", "-k", "2"),
+                 ("balance",)):
+        checked.clear()
+        code, _, _ = run(capsys, argv[0], "--graph", k3_file, "--td", str(td),
+                         *argv[1:])
+        assert code == 0
+        assert len(checked) == len({id(x) for x in checked}) == 2, argv
+
+
 def test_balance_prints_width_depth(tmp_path, k3_file, capsys):
     td = tmp_path / "k3.td"
     td.write_text(K3_TD)

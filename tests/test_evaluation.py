@@ -10,6 +10,7 @@ from twkbest.problems import builtin
 from twkbest.persist import best_pair, constrain, initial_version, pivot_query
 from twkbest.evaluation import (
     INF,
+    EvalNode,
     Evaluator,
     TopKStructure,
     combine2,
@@ -314,6 +315,64 @@ def test_engine_top_k_is_the_structure_fold(problem, kw, k):
                     for i1, i2 in table:
                         want = st.merge(want, st.combine(t1[i1], t2[i2]))
                 assert u.table[q] == want
+
+
+def _random_child(rng, states):
+    """A child node: each state None or a nondecreasing value pair with INF
+    padding, ranks carrying small IDs so that pairs of them repeat."""
+    table, ids = [], []
+    for _ in range(states):
+        if rng.random() < 0.2:
+            table.append(None)
+            ids.append(None)
+            continue
+        a = rng.randint(-3, 3)
+        b = INF if rng.random() < 0.3 else a + rng.randint(0, 2)
+        table.append((a, b))
+        ids.append(tuple(rng.randint(0, 2) for v in (a, b) if v is not INF))
+    return EvalNode(None, (), table, ids, None)
+
+
+@pytest.mark.parametrize("decomp_ids", [True, False])
+def test_k2_kernel_is_the_general_fold(decomp_ids):
+    """``inner_node`` with k = 2 equals ``_fold`` on every state (IDs
+    interned in the same order where decompositions are not IDs), with and
+    without a survivor's state, on random child tables with INF padding,
+    value ties, empty states and repeated pairs."""
+    rng = random.Random(f"k2 kernel {decomp_ids}")
+    ev = Evaluator(None, 2)
+    ev.decomp_ids = decomp_ids
+    for trial in range(3000):
+        s1, s2 = rng.randint(1, 4), rng.randint(1, 4)
+        ch1, ch2 = _random_child(rng, s1), _random_child(rng, s2)
+        ev.relevant = [[[(rng.randrange(s1), rng.randrange(s2))
+                         for _ in range(rng.randint(0, 5))]
+                        for _ in range(rng.randint(1, 5))]]
+        prefer = None
+        if trial % 2:
+            q = rng.randrange(len(ev.relevant[0]))
+            fits = [(i1, r1, i2, r2) for i1, i2 in ev.relevant[0][q]
+                    for r1, r2 in ((0, 0), (0, 1), (1, 0))
+                    if ch1.table[i1] is not None and ch2.table[i2] is not None
+                    and ch1.table[i1][r1] is not INF
+                    and ch2.table[i2][r2] is not INF]
+            if fits:
+                prefer = (q, rng.choice(fits))
+        got = ev.inner_node(0, ch1, ch2, prefer)
+        table, chosen, key_map = [], [], {}
+        for q, plist in enumerate(ev.relevant[0]):
+            top = ev._fold(plist, ch1.table, ch2.table,
+                           prefer[1] if prefer and prefer[0] == q else None)
+            table.append(top and top[0])
+            chosen.append(top and top[1])
+        assert got.table == table
+        assert got.chosen == chosen
+        if decomp_ids:
+            assert got.ids is got.chosen
+        else:
+            assert got.ids == [d and tuple(key_map.setdefault(
+                (ch1.ids[i1][r1], ch2.ids[i2][r2]), len(key_map))
+                for i1, r1, i2, r2 in d) for d in chosen]
 
 
 def test_tree_without_live_leaves_is_one_featureless_leaf():

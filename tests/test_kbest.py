@@ -58,6 +58,29 @@ def test_solutions_distinct_and_feasible():
         assert sum(g.weights[f] for f in s) == v
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_solutions_on_a_long_strip_are_distinct_simple_paths(directed):
+    """k = 200 paths 1 -> n on a 2 x 512 grid strip (directed: edges from the
+    lower-numbered end) with its width-3 chain decomposition: each solution,
+    found by difference from an earlier one, is a new simple path whose
+    weights sum to its value."""
+    from twkbest.treedec import TreeDecomposition
+    rng = random.Random(512)
+    n = 1024
+    edges = ([(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
+             + [(v, v + 2) for v in range(1, n - 1)])
+    g = make_graph(n, edges, [rng.randint(1, 50) for _ in edges], directed)
+    td = TreeDecomposition(
+        {i: frozenset({2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2})
+         for i in range(1, n // 2)}, {(i, i + 1) for i in range(1, n // 2 - 1)})
+    got = k_best(g, "simple-path", 200, s=1, t=n, want_solutions=True, td=td)
+    assert len(got) == 200
+    assert len({sol for _, sol in got}) == 200
+    for value, sol in got:
+        assert oracle.is_simple_path(g, sol, 1, n)
+        assert g.value(sol) == value
+
+
 def test_direct_matches_bestfirst():
     rng = random.Random(9)
     for _ in range(20):

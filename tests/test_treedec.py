@@ -278,3 +278,40 @@ def test_validate_equals_the_plain_check():
             cases += 1
             invalid += not rep.ok
     assert cases >= 500 and invalid >= 300, (cases, invalid)
+
+
+def test_balance_validates_its_result_and_refuses_by_the_input(monkeypatch):
+    """balance validates only its result when it succeeds.  On an invalid
+    input (the corruptions above) it either refuses with the input's own
+    first violation, or its result is valid all the same."""
+    rng = random.Random(23)
+    calls = []
+    real = validate
+
+    def counted(td, g):
+        calls.append(td)
+        return real(td, g)
+
+    monkeypatch.setattr("twkbest.treedec.validate", counted)
+    refused = accepted = 0
+    for i in range(60):
+        n = rng.randint(1, 30)
+        edges = [(rng.randint(1, n), rng.randint(1, n))
+                 for _ in range(rng.randint(0, 2 * n))]
+        g = WeightedGraph(n, len(edges), i % 2 == 1, tuple(edges))
+        for j, td in enumerate(corrupted(heuristic_decomposition(g), g, rng)):
+            report = real(td, g)
+            calls.clear()
+            try:
+                sd = balance(td, g)
+            except TreeDecompositionError as exc:
+                assert not report.ok
+                assert str(exc) == ("cannot balance an invalid decomposition: "
+                                    + report.violations[0])
+                refused += 1
+                continue
+            assert real(sd.to_tree_decomposition(), g).ok
+            assert len(calls) == 1 and calls[0] is not td
+            accepted += not report.ok
+            assert j or report.ok
+    assert refused >= 100, (refused, accepted)

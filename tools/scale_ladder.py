@@ -19,7 +19,7 @@ Every rung runs in a fresh Python process whose address space is capped at
 figures measured so far and an ``error``; a rung that fails otherwise is
 recorded with its error alone.  The rungs are written as
 JSON to ``--out`` (default ``BENCH_scale_NAME.json`` at the checkout root)
-with the commit, the Python version and the CPU count.
+with the commit (see ``commit``), the Python version and the CPU count.
 """
 from __future__ import annotations
 
@@ -130,12 +130,22 @@ def run_rung(n: int, k: int) -> dict:
 
 
 def commit() -> str | None:
+    """HEAD, and when the tracked files differ from it, ``+diff-`` and the
+    first 12 hex digits of the sha256 of ``git diff HEAD``: the code that
+    ran, even before it is committed."""
     try:
-        out = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty"],
-                             capture_output=True, text=True)
+        head = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True)
+        diff = subprocess.run(["git", "-C", ROOT, "diff", "HEAD"],
+                              capture_output=True)
     except OSError:
         return None
-    return out.stdout.strip() or None
+    sha = head.stdout.strip()
+    if not sha or diff.returncode:
+        return None
+    if diff.stdout:
+        sha += "+diff-" + hashlib.sha256(diff.stdout).hexdigest()[:12]
+    return sha
 
 
 def main(argv=None) -> int:
