@@ -3,11 +3,15 @@
 Exit codes: 0 success; 1 I/O or format error; 2 invalid parameters, a
 reported solution value outside the 64-bit range, or an instance too large
 for --oracle-check; 3 oracle-check mismatch; 4 invalid tree decomposition.
+A reader that closes stdout early (``... --solutions | head``) ends the run
+with exit 1 and one line on stderr, with no traceback, also when the
+output is only flushed at exit.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -99,9 +103,19 @@ def _load(args, violations_out):
 
 
 def _emit(results, want_solutions: bool, out):
+    """One line per result.  Each feature's name and integer sort key (its
+    tuple order: rank, then an index below 2^64) are made once per run, not
+    once per solution holding it."""
+    key: dict = {}
+    name: dict = {}
     for value, sol in results:
         if want_solutions:
-            sets = [[repr(f) for f in sorted(sol)]]
+            for f in sol:
+                if f not in key:
+                    key[f] = f.rank << 64 | f.index
+                    name[f] = repr(f)
+            row = sorted(sol, key=key.__getitem__)
+            sets = [list(map(name.__getitem__, row))]
             print(json.dumps({"value": value, "sets": sets}), file=out)
         else:
             print(value, file=out)
@@ -206,6 +220,22 @@ def _run_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to /dev/null, so that the flush at
+        # exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        return EXIT_IO
+    return code
+
+
+def _dispatch(args) -> int:
     if args.command == "ksp":
         if args.source is None or args.target is None:
             print("error: ksp requires --source and --target", file=sys.stderr)

@@ -20,9 +20,6 @@ Values add exactly; ``kbest`` range-checks only the values it reports.
 """
 from __future__ import annotations
 
-import functools
-from operator import itemgetter
-
 from .core import FeatureId
 from .algebra import ParseTree
 from .problems import EvalAutomaton, state_key
@@ -133,16 +130,22 @@ class Evaluator:
         ``decomp_ids``, and returns whether each evaluation node is a join.
 
         Bottom-up, each distinct state is interned once as an int with its
-        ``state_key``; a node's table maps those ints to its feature sets
-        (leaves) or its fitting child states, flat: pairs a1, b1, a2, b2, ...
-        under a two-child node (a, then b, in key order), a1, a2, ... under
-        a one-child ``fuse`` or ``proj``.  Its realizable set is its ints in
-        key order.  A (signature, children's realizable sets) memo hit shares
-        both.  A node is live if it is a leaf whose feature has the
-        automaton's kind or if it has a live child; only live nodes keep
-        their tables.  A constant node denotes only the empty set: each
-        realizable state of a constant leaf lists it once, and each of a
-        constant inner node has one fitting tuple, of the node's arity.
+        ``state_key``; a node's table maps those ints to its fitting child
+        states, flat: pairs a1, b1, a2, b2, ... under a two-child node (a,
+        then b, in key order), a1, a2, ... under a one-child ``fuse`` or
+        ``proj``.  Its realizable set is its ints in key order.  A
+        (signature, children's realizable sets) memo hit shares both.  A
+        leaf is live if its feature has the automaton's kind, and an inner
+        node if it has a live child; only live nodes keep their tables.  A
+        constant node denotes only the empty set: each realizable state of a
+        constant leaf lists it once, and each of a constant inner node has
+        one fitting tuple, of the node's arity.
+
+        Leaves go by shape, (op, live): by ``EvalAutomaton.leaf_table``'s
+        contract a leaf's table depends only on its op and feature and names
+        no other feature, so one call per shape gives the table all its
+        leaves share: per state, one flag per feature set, True for
+        {feature}, sorted (the empty set first).
 
         Top-down, the walk visits chain tops: the root and the children of
         joins with two live sides.  The root state gets id 0.  From a top's
@@ -154,11 +157,14 @@ class Evaluator:
         pairs renamed to the children's ids by first appearance, which
         numbers the children's states.  As repeats add no new states, first
         appearance in the sequence is first use at every node of the chain.
-        A (chain tables, top states) memo hit shares the lists and the
+        A leaf's order depends on its weight only through the sign, so its
+        lists are memoized as flags, which each leaf maps one to one to (0,
+        {}) or (weight, {feature}): checks on flags are checks on entries.
+        A (chain tables, top states, sign) memo hit shares the lists and the
         children's states; each table is dropped once consumed.  Only on a
-        miss does it try a second key, (bottom table, composed sequences),
-        of which the lists are a function: chains of different tables can
-        compose to the same sequences."""
+        miss does it try a second key, (bottom table, composed sequences,
+        sign), of which the lists are a function: chains of different
+        tables can compose to the same sequences."""
         automaton, kind = self.automaton, self.automaton.kind
         sid: dict = {}                   # state -> its int
         states: list = []                # int -> state
@@ -174,18 +180,33 @@ class Evaluator:
             return i
 
         pair_memo: dict = {}
+        shapes: dict = {}                # (op, live) -> flags table, realizable
         realizable: dict[int, tuple] = {}  # nid -> ints, until its parent
         live: dict[int, dict] = {}       # live nid -> table, until consumed
         for pn in tree.nodes:            # children precede parents
             if pn.is_leaf():
-                leaf = automaton.leaf_table(pn)
-                table = {intern(q): sols for q, sols in leaf.items()}
-                realizable[pn.nid] = tuple(sorted(table, key=order))
-                if pn.feature is not None and pn.feature.kind == kind:
+                f = pn.feature
+                is_live = f is not None and f.kind == kind
+                shape = shapes.get((pn.op, is_live))
+                if shape is None:
+                    leaf = automaton.leaf_table(pn)
+                    if is_live:
+                        taken = frozenset((f,))
+                        assert all(sols and all(fs == taken or not fs
+                                                for fs in sols)
+                                   for sols in leaf.values()), \
+                            f"leaf {pn.nid}: a state lists no set, or a " \
+                            f"feature not its own"
+                    else:
+                        assert all(s == [frozenset()] for s in leaf.values()), \
+                            f"constant leaf {pn.nid} denotes a nonempty solution"
+                    table = {intern(q): tuple(sorted(map(bool, sols)))
+                             for q, sols in leaf.items()}
+                    shape = shapes[pn.op, is_live] = \
+                        table, tuple(sorted(table, key=order))
+                table, realizable[pn.nid] = shape
+                if is_live:
                     live[pn.nid] = table
-                else:
-                    assert all(s == [frozenset()] for s in leaf.values()), \
-                        f"constant leaf {pn.nid} denotes a nonempty solution"
                 continue
             c1 = pn.children[0]
             c2 = pn.children[1] if len(pn.children) == 2 else None
@@ -219,23 +240,21 @@ class Evaluator:
                     f"constant node {pn.nid} denotes the empty set twice"
         root = sid.get(automaton.root_state())
         tops = [root] if root in realizable.pop(tree.root.nid) else []
-        del pair_memo, sid, states, keys, order
+        del pair_memo, shapes, sid, states, keys, order
         if tree.root.nid not in live:    # no live leaf: one featureless leaf
             self.feature = [None]
             self.relevant = [[[(0, frozenset())]] * len(tops)]
             return [False]
 
-        @functools.cache
-        def rank(fs):                    # a leaf entry's sort key
-            return tree.graph.value(fs), sorted(fs)
-
+        weights = tree.graph.weights
+        untaken = (0, frozenset())       # a leaf entry without its feature
         joins: list[bool] = []
         feature: list = []
         relevant: list[list] = []
-        # (chain tables' ids, top states) -> lists, children's top states;
-        # on a miss, (bottom table's id, composed sequences) -> the same.
-        # Every table exists before the walk drops any, so the id of a table
-        # still live never names a dropped one.
+        # (chain tables' ids, top states, sign) -> lists, children's top
+        # states; on a miss, (bottom table's id, composed sequences, sign)
+        # -> the same.  Every table exists before the walk drops any, so the
+        # id of a table still live never names a dropped one.
         memo: dict = {}
         stack = [(tree.root, tops)]
         while stack:
@@ -250,20 +269,25 @@ class Evaluator:
                 steps.append((live.pop(pn.nid), side, len(kids)))
                 pn = kids[side]
             table = live.pop(pn.nid)
+            f = pn.feature               # None at a join
+            w = None if f is None else weights.get(f, 0)
+            sign = None if f is None else (w > 0) - (w < 0)
             memo_key = (tuple((id(t), side) for t, side, _ in steps), id(table),
-                        tuple(tops))
+                        tuple(tops), sign)
             if memo_key not in memo:
                 seqs = [[q] for q in tops]
                 for t, side, arity in steps:
                     seqs = [[x for q in seq for x in t[q][side::arity]]
                             for seq in seqs]
-                seq_key = (id(table), tuple(map(tuple, seqs)))
+                seq_key = (id(table), tuple(map(tuple, seqs)), sign)
                 if seq_key not in memo:
                     ids1, ids2 = {}, {}
-                    if pn.is_leaf():     # ties keep sequence order
-                        lists = [sorted([(rank(fs)[0], fs) for q in seq
-                                         for fs in sorted(table[q], key=rank)],
-                                        key=itemgetter(0)) for seq in seqs]
+                    # A leaf: stably by value, so ties keep sequence order,
+                    # and within a state the empty set first, as a state's
+                    # flags are sorted.
+                    if f is not None:
+                        lists = [sorted([x for q in seq for x in table[q]],
+                                        key=sign.__mul__) for seq in seqs]
                     else:
                         lists = [[(ids1.setdefault(a, len(ids1)),
                                    ids2.setdefault(b, len(ids2)))
@@ -280,12 +304,15 @@ class Evaluator:
                     memo[seq_key] = lists, list(ids1), list(ids2)
                 memo[memo_key] = memo[seq_key]
             lists, tops1, tops2 = memo[memo_key]
-            relevant.append(lists)
-            feature.append(pn.feature)   # None at a join
-            joins.append(not pn.is_leaf())
-            if joins[-1]:
+            feature.append(f)
+            joins.append(f is None)
+            if f is None:
+                relevant.append(lists)
                 stack.append((pn.children[1], tops2))
                 stack.append((pn.children[0], tops1))
+            else:
+                entry = (untaken, (w, frozenset((f,))))
+                relevant.append([[entry[x] for x in flags] for flags in lists])
         self.feature, self.relevant = feature, relevant
         return joins
 
@@ -295,11 +322,22 @@ class Evaluator:
                   prefer: tuple | None = None) -> EvalNode:
         """want: keep the entries with (True) or without (False) the leaf's
         feature, or all (None).  prefer = (state id, feature set): force that
-        solution to rank 0 of its state among value ties (survivor rule)."""
+        solution to rank 0 of its state among value ties (survivor rule).
+        The initial build (k = 2, no want, no prefer) reads each state's
+        first two entries directly."""
         feat = self.feature[eid]
         k = self.k
         rel = self.relevant[eid]
         table, chosen = [None] * len(rel), [None] * len(rel)
+        if k == 2 and want is None and prefer is None:
+            for i, entries in enumerate(rel):
+                if len(entries) > 1:
+                    (v0, f0), (v1, f1) = entries[0], entries[1]
+                    table[i], chosen[i] = (v0, v1), (f0, f1)
+                else:
+                    (v0, f0), = entries
+                    table[i], chosen[i] = (v0, INF), (f0,)
+            return EvalNode(eid, (), table, chosen, chosen)
         for i, entries in enumerate(rel):
             if want is not None:
                 entries = [e for e in entries if (feat in e[1]) == want]
@@ -319,11 +357,15 @@ class Evaluator:
         (state id, (i1, r1, i2, r2)): force that decomposition to rank 0 of
         its state among value ties (survivor rule).
 
-        With k = 2, each other state takes one pass over its pairs that
-        keeps the best two entries in ``_fold``'s order: within a pair (0, 0),
-        then the smaller of (0, 1) and (1, 0), (0, 1) on a tie; a later pair
-        only on a strictly smaller value.  A sum with INF is a float inf (a
-        sum of 64-bit weights cannot overflow a float), never stored."""
+        With k = 2, each state takes one pass over its pairs that keeps the
+        best two entries in ``_fold``'s order: within a pair (0, 0), then
+        the smaller of (0, 1) and (1, 0), (0, 1) on a tie; a later pair only
+        on a strictly smaller value.  A sum with INF is a float inf (a sum
+        of 64-bit weights cannot overflow a float), never stored.  The
+        preferred d of value vd then moves up past its ties: to rank 0 if
+        vd is the best value, with the old best at rank 1 (or d again if
+        d's pair repeats, as ``_fold`` lists a pair once per occurrence),
+        else to rank 1 if vd is the second value.  ``_fold`` serves k > 2."""
         tables1, tables2 = ch1.table, ch2.table
         rel = self.relevant[eid]
         n = len(rel)
@@ -333,7 +375,7 @@ class Evaluator:
         general = self.k != 2
         pq, pd = (-1, None) if prefer is None else prefer
         for q, plist in enumerate(rel):
-            if general or q == pq:
+            if general:
                 top = self._fold(plist, tables1, tables2,
                                  pd if q == pq else None)
                 if top is None:
@@ -361,6 +403,17 @@ class Evaluator:
                         second, sv = (i1, 0, i2, 0), v
                 if best is None:
                     continue
+                if q == pq:
+                    i1, r1, i2, r2 = pd
+                    vd = tables1[i1][r1] + tables2[i2][r2]
+                    if vd == bv:
+                        if plist.count((i1, i2)) > 1:
+                            second, sv = pd, bv
+                        elif best != pd:
+                            second, sv = best, bv
+                        best = pd
+                    elif vd == sv:
+                        second = pd
                 table[q] = (bv, sv)
                 chosen[q] = (best,) if second is None else (best, second)
             if key_map is not None:     # a loop is cheaper than a genexpr

@@ -5,7 +5,8 @@ summarizes everything about a partial solution (over the features introduced
 in the node's subtree) that the rest of the graph can observe through the
 node's sources.  Inner nodes combine child states through ``delta``, and
 leaves list their feature sets per state in ``leaf_table``; the evaluation
-module calls both once per parse node, at build.
+module calls ``delta`` only at build, once per candidate of each
+distinct subproblem, and ``leaf_table`` once per leaf shape.
 
 State spaces:
 
@@ -77,7 +78,11 @@ class EvalAutomaton:
         raise NotImplementedError
 
     def leaf_table(self, node: ParseNode) -> dict:
-        """state -> list of feature sets denoted by this leaf in that state."""
+        """state -> nonempty list of feature sets denoted by this leaf in
+        that state.  The table depends only on the leaf's op and its
+        feature, and names no feature but its own: each set is empty or
+        {node.feature}.  The evaluator relies on this to ask once per leaf
+        shape and rename the feature for the other leaves."""
         raise NotImplementedError
 
 

@@ -432,6 +432,30 @@ def test_solutions_identical_across_hash_seeds(tmp_path, text, argv, td):
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("n,k,read", [(3, 2, 0), (1024, 40, 100)],
+                         ids=["flushed-at-exit", "mid-output"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, n, k, read):
+    """The reader closes the pipe early: at once, so the few bytes of a
+    small run fail only when stdout is flushed at exit, or after 100 of
+    the about 140 KB that vertex cover on a 1024-vertex path prints, more
+    than a pipe holds."""
+    p = tmp_path / "g.gr"
+    p.write_text(f"p kbest {n} {n - 1} 0\n"
+                 + "".join(f"e {i} {i + 1} 1\n" for i in range(1, n)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twkbest.cli.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "twkbest.cli", "solve", "--problem",
+             "vertex-cover", "--graph", str(p), "-k", str(k), "--solutions"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (1, "error: stdout closed before the output was "
+                              "written\n")
+
+
 def test_supplied_td_is_used(tmp_path, k3_file, capsys):
     td = tmp_path / "k3.td"
     td.write_text(K3_TD)

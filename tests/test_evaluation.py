@@ -1,9 +1,10 @@
 """Evaluation structures and the bottom-up evaluation with IDs."""
 import random
+from operator import itemgetter
 
 import pytest
 
-from twkbest.core import WeightedGraph, edge
+from twkbest.core import WeightedGraph, edge, vertex
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
@@ -315,6 +316,45 @@ def test_engine_top_k_is_the_structure_fold(problem, kw, k):
                     for i1, i2 in table:
                         want = st.merge(want, st.combine(t1[i1], t2[i2]))
                 assert u.table[q] == want
+
+
+@pytest.mark.parametrize("problem,kw", PROBLEMS)
+def test_leaves_by_shape_equal_leaves_one_by_one(problem, kw):
+    """The relevance pass asks the automaton once per leaf shape and sorts
+    each leaf's lists by the sign of its feature's weight.  Each live
+    leaf's lists must be its own ``leaf_table``'s feature sets sorted one
+    leaf at a time: in sequence order, by (value, sorted(fs)) within each
+    leaf state, then stably by value.  The sequence is read from a build
+    with every weight 0, where that sort keeps it with the empty set first
+    in each state; with a weight w != 0 only the stable sort by value
+    moves entries, as a state never lists one set twice.  Weights are
+    negative, zero and positive, on vertices and edges; 40% of the graphs
+    are directed."""
+    rng = random.Random(f"leaf shapes {problem}")
+    for _ in range(40):
+        n, m = rng.randint(4, 7), rng.randint(3, 10)
+        weights = {edge(i): rng.randint(-3, 3) for i in range(1, m + 1)}
+        weights.update((vertex(v), rng.randint(-3, 3))
+                       for v in range(1, n + 1))
+        g = WeightedGraph(
+            n=n, m=m, directed=rng.random() < 0.4,
+            edges=tuple((rng.randint(1, n), rng.randint(1, n))
+                        for _ in range(m)), weights=weights)
+        t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
+        a = builtin(problem, g, **kw)
+        ev, ev0 = Evaluator(a, 2), Evaluator(a, 2)
+        ev.build(t)
+        ev0.build(t._replace(graph=g._replace(weights={})))
+        assert ev.feature == ev0.feature
+        for eid, f in enumerate(ev.feature):
+            if f is None:
+                continue
+            own = {fs for sols in a.leaf_table(t.introducer[f]).values()
+                   for fs in sols}
+            want = [sorted(((g.value(fs), fs) for _, fs in entries),
+                           key=itemgetter(0)) for entries in ev0.relevant[eid]]
+            assert all(fs in own for entries in want for _, fs in entries)
+            assert ev.relevant[eid] == want
 
 
 def _random_child(rng, states):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twkbest.core import WeightedGraph, edge, vertex
+from twkbest.core import FeatureId, WeightedGraph, edge, vertex
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import (
@@ -140,3 +140,31 @@ def test_small_graph_sweep(problem):
             check_against_oracle(g, problem, s, t)
         else:
             check_against_oracle(g, problem)
+
+
+def _renamed(table, old: FeatureId, new: FeatureId) -> dict:
+    return {q: [frozenset(new if f == old else f for f in fs) for fs in sols]
+            for q, sols in table.items()}
+
+
+@pytest.mark.parametrize("problem", BUILTIN_PROBLEMS)
+def test_a_leaf_table_is_its_shapes_with_the_feature_renamed(problem):
+    """``leaf_table``'s contract, which lets the evaluator ask once per
+    leaf shape (op, live): every leaf's table equals the first table of
+    its shape with that leaf's feature renamed to its own, and names no
+    feature but its own."""
+    rng = random.Random(f"leaf contract {problem}")
+    for _ in range(25):
+        n, m = rng.randint(2, 6), rng.randint(1, 8)
+        g = make_graph(n, [(rng.randint(1, n), rng.randint(1, n))
+                           for _ in range(m)], rng.random() < 0.4)
+        a = builtin(problem, g, *((1, n) if problem == "simple-path" else ()))
+        tree = build_parse_tree(balance(heuristic_decomposition(g), g), g)
+        first = {}
+        for node in (u for u in tree.nodes if u.is_leaf()):
+            table = a.leaf_table(node)
+            assert all(fs <= {node.feature}
+                       for sols in table.values() for fs in sols)
+            shape = (node.op, node.feature.kind == a.kind)
+            f0, table0 = first.setdefault(shape, (node.feature, table))
+            assert table == _renamed(table0, f0, node.feature)
