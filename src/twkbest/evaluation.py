@@ -3,7 +3,9 @@
 A value is a nondecreasing tuple of k extended weights (padded with ``INF``)
 summarizing the k smallest solution values of a set.  ``combine`` is the
 operator for combining two independent solution sets (values add), ``merge``
-for the union of alternatives (k smallest overall).
+for the union of alternatives (k smallest overall).  The engine is k = 2,
+as enumeration reads only each version's best two solutions;
+``Evaluator.top_values`` folds any k, values only, for the cross-check.
 
 ``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects: the
 parse tree contracted to its live leaves (whose feature has the automaton's
@@ -44,9 +46,23 @@ class TopKStructure:
     def merge(self, a: tuple, b: tuple) -> tuple:
         return tuple(sorted(a + b)[: self.k])
 
+    def sums(self, a: tuple, b: tuple) -> list:
+        """The finite sums a[r1] + b[r2] with r1 + r2 < k: their k smallest
+        are those of all sums, as any other sum has one no larger on each of
+        the k diagonals r1 + r2 = 0 .. k - 1 of a monotone path to it."""
+        k = self.k
+        out = []
+        for r, x in enumerate(a):
+            if x is INF:                 # the tuples are sorted
+                break
+            for y in b[:k - r]:
+                if y is INF:
+                    break
+                out.append(x + y)
+        return out
+
     def combine(self, a: tuple, b: tuple) -> tuple:
-        sums = [x + y for x in a for y in b if x is not INF and y is not INF]
-        return self.lift(sums)
+        return self.lift(self.sums(a, b))
 
 
 def merge_k(a: tuple, b: tuple, k: int) -> tuple:
@@ -71,7 +87,7 @@ class EvalNode:
     eid indexes the Evaluator's tables; its states are those of the topmost
     parse node it stands for.  Lists per state id (None where a constraint
     emptied the state):
-    table:  k-tuple of values
+    table:  (rank-0 value, rank-1 value), INF where no such solution
     chosen: per-rank decomposition: a leaf's feature set, or
             (i1, r1, i2, r2) naming child state ids and ranks
     ids:    per-rank solution ID (discriminating within the node); the
@@ -107,12 +123,12 @@ class Evaluator:
     entries, skips the pairs whose child state has gone, and never calls the
     automaton.  The automaton's states live only in that build, interned
     once each, with one pair table and realizable set per distinct
-    subproblem; they never reach these tables.
+    subproblem; they never reach these tables.  ``top_values`` folds the
+    same tables under any k, values only.
     """
 
-    def __init__(self, automaton: EvalAutomaton, k: int):
+    def __init__(self, automaton: EvalAutomaton):
         self.automaton = automaton
-        self.k = k
         # eid -> per state id: its (child 1 id, child 2 id) pairs (inner
         # nodes) or its (value, feature set) entries sorted by value (leaves).
         # Only relevant states get an id: those reachable from the root state
@@ -320,102 +336,88 @@ class Evaluator:
 
     def leaf_node(self, eid: int, want: bool | None,
                   prefer: tuple | None = None) -> EvalNode:
-        """want: keep the entries with (True) or without (False) the leaf's
-        feature, or all (None).  prefer = (state id, feature set): force that
-        solution to rank 0 of its state among value ties (survivor rule).
-        The initial build (k = 2, no want, no prefer) reads each state's
-        first two entries directly."""
-        feat = self.feature[eid]
-        k = self.k
-        rel = self.relevant[eid]
+        """Each state's ranks 0 and 1 from its entries, which are sorted by
+        value.  want: keep the entries with (True) or without (False) the
+        leaf's feature, or all (None).  prefer = (state id, feature set):
+        force that solution to rank 0 of its state among value ties
+        (survivor rule)."""
+        feat, rel = self.feature[eid], self.relevant[eid]
         table, chosen = [None] * len(rel), [None] * len(rel)
-        if k == 2 and want is None and prefer is None:
-            for i, entries in enumerate(rel):
-                if len(entries) > 1:
-                    (v0, f0), (v1, f1) = entries[0], entries[1]
-                    table[i], chosen[i] = (v0, v1), (f0, f1)
-                else:
-                    (v0, f0), = entries
-                    table[i], chosen[i] = (v0, INF), (f0,)
-            return EvalNode(eid, (), table, chosen, chosen)
+        pq, pfs = (-1, None) if prefer is None else prefer
         for i, entries in enumerate(rel):
             if want is not None:
                 entries = [e for e in entries if (feat in e[1]) == want]
                 if not entries:
                     continue
-            if prefer is not None and prefer[0] == i:
-                entries = sorted(entries, key=lambda e: (e[0], e[1] != prefer[1]))
-            top = entries[:k]            # entries are sorted by value
-            table[i] = tuple(v for v, _ in top) + (INF,) * (k - len(top))
-            chosen[i] = tuple(fs for _, fs in top)
+            if i == pq:
+                entries = sorted(entries, key=lambda e: (e[0], e[1] != pfs))
+            if len(entries) > 1:
+                (v0, f0), (v1, f1) = entries[0], entries[1]
+                table[i], chosen[i] = (v0, v1), (f0, f1)
+            else:
+                (v0, f0), = entries
+                table[i], chosen[i] = (v0, INF), (f0,)
         return EvalNode(eid, (), table, chosen, chosen)
 
     def inner_node(self, eid: int, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
-        """Each state's table is the ``TopKStructure`` fold of ``merge`` over
-        its pairs of ``combine(t1[i1], t2[i2])`` (``_fold``).  prefer =
+        """Each state's table is the ``TopKStructure(2)`` fold of ``merge``
+        over its pairs of ``combine(t1[i1], t2[i2])``, its decompositions
+        (i1, r1, i2, r2) ranked by (value, pair index, r1, r2).  prefer =
         (state id, (i1, r1, i2, r2)): force that decomposition to rank 0 of
         its state among value ties (survivor rule).
 
-        With k = 2, each state takes one pass over its pairs that keeps the
-        best two entries in ``_fold``'s order: within a pair (0, 0), then
-        the smaller of (0, 1) and (1, 0), (0, 1) on a tie; a later pair only
-        on a strictly smaller value.  A sum with INF is a float inf (a sum
-        of 64-bit weights cannot overflow a float), never stored.  The
-        preferred d of value vd then moves up past its ties: to rank 0 if
-        vd is the best value, with the old best at rank 1 (or d again if
-        d's pair repeats, as ``_fold`` lists a pair once per occurrence),
-        else to rank 1 if vd is the second value.  ``_fold`` serves k > 2."""
+        Each state takes one pass over its pairs that keeps the best two
+        entries in that order: within a pair (0, 0), then the smaller of
+        (0, 1) and (1, 0), (0, 1) on a tie; a later pair only on a strictly
+        smaller value.  A sum with INF is a float inf (a sum of 64-bit
+        weights cannot overflow a float), never stored.  The preferred d of
+        value vd then moves up past its ties: to rank 0 if vd is the best
+        value, with the old best at rank 1 (or d again if d's pair repeats,
+        as the fold lists a pair once per occurrence), else to rank 1 if vd
+        is the second value."""
         tables1, tables2 = ch1.table, ch2.table
         rel = self.relevant[eid]
         n = len(rel)
         table, chosen = [None] * n, [None] * n
         ids, key_map = (chosen, None) if self.decomp_ids else ([None] * n, {})
         ids1, ids2 = ch1.ids, ch2.ids
-        general = self.k != 2
         pq, pd = (-1, None) if prefer is None else prefer
         for q, plist in enumerate(rel):
-            if general:
-                top = self._fold(plist, tables1, tables2,
-                                 pd if q == pq else None)
-                if top is None:
+            bv = sv = INF
+            best = second = None
+            for i1, i2 in plist:
+                t1, t2 = tables1[i1], tables2[i2]
+                if t1 is None or t2 is None:
                     continue
-                table[q], chosen[q] = top
-            else:
-                bv = sv = INF
-                best = second = None
-                for i1, i2 in plist:
-                    t1, t2 = tables1[i1], tables2[i2]
-                    if t1 is None or t2 is None:
-                        continue
-                    a0, a1 = t1
-                    b0, b1 = t2
-                    v = a0 + b0
-                    if v >= sv:
-                        continue
-                    if v < bv:           # the old best or the pair's second
-                        w01, w10 = a0 + b1, a1 + b0
-                        d, w = (((i1, 1, i2, 0), w10) if w10 < w01
-                                else ((i1, 0, i2, 1), w01))
-                        second, sv = (d, w) if w < bv else (best, bv)
-                        best, bv = (i1, 0, i2, 0), v
-                    else:
-                        second, sv = (i1, 0, i2, 0), v
-                if best is None:
+                a0, a1 = t1
+                b0, b1 = t2
+                v = a0 + b0
+                if v >= sv:
                     continue
-                if q == pq:
-                    i1, r1, i2, r2 = pd
-                    vd = tables1[i1][r1] + tables2[i2][r2]
-                    if vd == bv:
-                        if plist.count((i1, i2)) > 1:
-                            second, sv = pd, bv
-                        elif best != pd:
-                            second, sv = best, bv
-                        best = pd
-                    elif vd == sv:
-                        second = pd
-                table[q] = (bv, sv)
-                chosen[q] = (best,) if second is None else (best, second)
+                if v < bv:               # the old best or the pair's second
+                    w01, w10 = a0 + b1, a1 + b0
+                    d, w = (((i1, 1, i2, 0), w10) if w10 < w01
+                            else ((i1, 0, i2, 1), w01))
+                    second, sv = (d, w) if w < bv else (best, bv)
+                    best, bv = (i1, 0, i2, 0), v
+                else:
+                    second, sv = (i1, 0, i2, 0), v
+            if best is None:
+                continue
+            if q == pq:
+                i1, r1, i2, r2 = pd
+                vd = tables1[i1][r1] + tables2[i2][r2]
+                if vd == bv:
+                    if plist.count((i1, i2)) > 1:
+                        second, sv = pd, bv
+                    elif best != pd:
+                        second, sv = best, bv
+                    best = pd
+                elif vd == sv:
+                    second = pd
+            table[q] = (bv, sv)
+            chosen[q] = (best,) if second is None else (best, second)
             if key_map is not None:     # a loop is cheaper than a genexpr
                 row = []
                 for i1, r1, i2, r2 in chosen[q]:
@@ -423,35 +425,6 @@ class Evaluator:
                         (ids1[i1][r1], ids2[i2][r2]), len(key_map)))
                 ids[q] = tuple(row)
         return EvalNode(eid, (ch1, ch2), table, ids, chosen)
-
-    def _fold(self, plist, tables1, tables2, prefer) -> tuple | None:
-        """One state's (values, decompositions) over its pairs of child state
-        ids, or None if no pair is realizable: every (r1, r2) with r1 + r2 <
-        k, sorted by (value, preferred, pair index, r1, r2); prefer is the
-        decomposition forced first among its value ties, or None."""
-        k = self.k
-        cands = []
-        for pidx, (i1, i2) in enumerate(plist):
-            t1, t2 = tables1[i1], tables2[i2]
-            if t1 is None or t2 is None:
-                continue
-            for r1, v1 in enumerate(t1):
-                if v1 is INF:
-                    break
-                for r2, v2 in enumerate(t2):
-                    # (r1, r2) with r1 + r2 >= k is dominated by k earlier-
-                    # sorting combinations, so it can never reach the top k.
-                    if v2 is INF or r1 + r2 >= k:
-                        break
-                    d = (i1, r1, i2, r2)
-                    cands.append((v1 + v2, d != prefer, pidx, r1, r2, d))
-        if not cands:
-            return None
-        # (pidx, r1, r2) is unique within a state: d is never compared.
-        cands.sort()
-        top = cands[:k]
-        return (tuple(c[0] for c in top) + (INF,) * (k - len(top)),
-                tuple(c[5] for c in top))
 
     def build(self, tree: ParseTree) -> EvalNode:
         joins = self._compute_relevant(tree)
@@ -466,10 +439,31 @@ class Evaluator:
                 built.append(self.leaf_node(eid, None))
         return built.pop()
 
-
-def root_values(root: EvalNode) -> tuple:
-    vals = root.table[0] if root.table else None
-    return () if vals is None else tuple(v for v in vals if v is not INF)
+    def top_values(self, tree: ParseTree, k: int) -> list:
+        """The root state's k smallest values, folded bottom-up over the
+        relevance tables under ``TopKStructure(k)``: ``lift`` at a leaf, and
+        ``merge`` over the pairs' ``combine`` at a join, as one ``lift`` of
+        their ``sums``.  Values only; a child's tables die with the fold."""
+        joins = self._compute_relevant(tree)
+        st = TopKStructure(k)
+        lift, pair_sums = st.lift, st.sums
+        folded: list[list] = []
+        for eid in reversed(range(len(joins))):   # as in ``build``
+            rel = self.relevant[eid]
+            if not joins[eid]:
+                folded.append([lift([v for v, _ in entries])
+                               for entries in rel])
+                continue
+            t1, t2 = folded.pop(), folded.pop()
+            tables = []
+            for plist in rel:
+                sums = []
+                for i1, i2 in plist:
+                    sums += pair_sums(t1[i1], t2[i2])
+                tables.append(lift(sums))
+            folded.append(tables)
+        root = folded.pop()
+        return [v for v in root[0] if v is not INF] if root else []
 
 
 def reconstruct(root: EvalNode, state: int, rank: int) -> frozenset[FeatureId]:

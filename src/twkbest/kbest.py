@@ -16,7 +16,7 @@ import heapq
 from .core import FeatureId, WeightedGraph, check_int64
 from .treedec import TreeDecomposition, balance, heuristic_decomposition
 from .algebra import build_parse_tree
-from .evaluation import INF, Evaluator, root_values
+from .evaluation import INF, Evaluator
 from .problems import builtin
 from .persist import (
     best_pair,
@@ -124,11 +124,12 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
 def k_best_direct(g: WeightedGraph, problem: str, k: int,
                   s: int | None = None, t: int | None = None,
                   td: TreeDecomposition | None = None) -> list[int]:
-    """Independent cross-check: one evaluation under the top-k structure,
-    no persistence involved."""
+    """Independent cross-check: the first min(k, m) values by one values-only
+    fold under ``TopKStructure(k)``, sharing only the relevance tables with
+    ``k_best``."""
     if not (1 <= k <= DIRECT_K_LIMIT):
         raise ValueError(f"direct mode supports 1 <= k <= {DIRECT_K_LIMIT}")
     tree, automaton = prepare(g, problem, s, t, td)
-    root = Evaluator(automaton, k).build(tree)
-    return [check_int64(v) for v in root_values(root)]
+    values = Evaluator(automaton).top_values(tree, k)
+    return [check_int64(v) for v in values]
 

@@ -12,8 +12,9 @@ The evaluation tree is the contracted parse tree, so a path holds only the
 pivot's leaf and joins with two live sides, never a unary step over a
 constant subtree.  States are named by their per-node ids; the root state
 is id 0.
-A version's second-best solution is read as a difference from its best
-(``solution_at``), along the nodes where the two carry different IDs.
+One walk over the nodes where a version's best two solutions carry
+different IDs gives the pivot's path (its first root-to-leaf branch) and
+the second-best solution, as a difference from the best (all of it).
 """
 from __future__ import annotations
 
@@ -49,74 +50,73 @@ class PivotReport(NamedTuple):
     best_contains: bool        # pivot lies in the best (rank-0) solution
 
 
-def initial_version(tree: ParseTree, automaton: EvalAutomaton,
-                    k: int = 2) -> Version:
-    ev = Evaluator(automaton, k)
+def initial_version(tree: ParseTree, automaton: EvalAutomaton) -> Version:
+    ev = Evaluator(automaton)
     return Version(ev, ev.build(tree), len(ev.relevant))
 
 
 def best_pair(v: Version) -> tuple:
-    vals = v.root.table[0] if v.root.table else None
-    if vals is None:
-        return (INF, INF)
-    return (vals[0], vals[1])
+    table = v.root.table
+    return table[0] if table and table[0] is not None else (INF, INF)
+
+
+def _differing(v: Version):
+    """(node, rank-0 state id, rank, rank-1 state id, rank) at each node
+    where the root's rank-0 and rank-1 solutions differ, in preorder, child
+    1 first.  It enters a child only where the two entries' IDs differ
+    (equal IDs denote one subsolution), and one child of each inner node it
+    enters differs, so the nodes before its first leaf are a root-to-leaf
+    path."""
+    stack = [(v.root, 0, 0, 0, 1)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, qa, ra, qb, rb = item
+        if not node.children:
+            continue
+        da, db = node.chosen[qa][ra], node.chosen[qb][rb]
+        ch1, ch2 = node.children
+        differ1 = ch1.ids[da[0]][da[1]] != ch1.ids[db[0]][db[1]]
+        if ch2.ids[da[2]][da[3]] != ch2.ids[db[2]][db[3]]:
+            stack.append((ch2, da[2], da[3], db[2], db[3]))
+        else:
+            assert differ1, "two entries of one node denote one solution"
+        if differ1:
+            stack.append((ch1, da[0], da[1], db[0], db[1]))
 
 
 def solution_at(v: Version, rank: int,
                 best: frozenset[FeatureId] | None = None
                 ) -> frozenset[FeatureId]:
     """The root state's solution of that rank.  Given ``best``, the rank-0
-    solution, rank 1 is found by difference: like ``pivot_query``, the walk
-    enters only children whose rank-0 and rank-1 entries carry different IDs
-    (equal IDs denote one subsolution), but into both where both differ,
-    and swaps the rank-0 leaves' feature sets for the rank-1 ones.  Without
-    ``best`` the whole tree is read."""
+    solution, rank 1 is found by difference: along the walk of
+    ``_differing``, each leaf's rank-0 feature set is swapped for its
+    rank-1 one.  Without ``best`` the whole tree is read."""
     if best is None:
         return reconstruct(v.root, 0, rank)
     assert rank == 1 and best_pair(v)[1] is not INF
     dropped: set = set()
     added: set = set()
-    stack = [(v.root, 0, 0, 0, 1)]
-    while stack:
-        node, qa, ra, qb, rb = stack.pop()
-        da, db = node.chosen[qa][ra], node.chosen[qb][rb]
-        if node.is_leaf():
-            dropped |= da
-            added |= db
-            continue
-        ch1, ch2 = node.children
-        differ1 = ch1.ids[da[0]][da[1]] != ch1.ids[db[0]][db[1]]
-        if differ1:
-            stack.append((ch1, da[0], da[1], db[0], db[1]))
-        if ch2.ids[da[2]][da[3]] != ch2.ids[db[2]][db[3]]:
-            stack.append((ch2, da[2], da[3], db[2], db[3]))
-        else:
-            assert differ1, "two entries of one node denote one solution"
+    for node, qa, ra, qb, rb in _differing(v):
+        if not node.children:
+            dropped |= node.chosen[qa][ra]
+            added |= node.chosen[qb][rb]
     return best - dropped | added
 
 
 def pivot_query(v: Version) -> PivotReport:
     """Find a feature on which the version's best and second-best solutions
-    differ, visiting a single root-to-leaf path."""
-    first, second = best_pair(v)
-    if second is INF:
+    differ: the walk of ``_differing`` up to its first leaf, a single
+    root-to-leaf path."""
+    if best_pair(v)[1] is INF:
         raise VersionError("version is uniquely solvable or infeasible")
-    node = v.root
-    a, b = (0, 0), (0, 1)
     path = []
-    while not node.is_leaf():
-        path.append((node, a, b))
-        da = node.chosen[a[0]][a[1]]
-        db = node.chosen[b[0]][b[1]]
-        ch1, ch2 = node.children
-        if ch1.ids[da[0]][da[1]] != ch1.ids[db[0]][db[1]]:
-            node, a, b = ch1, (da[0], da[1]), (db[0], db[1])
-        else:
-            assert ch2.ids[da[2]][da[3]] != ch2.ids[db[2]][db[3]]
-            node, a, b = ch2, (da[2], da[3]), (db[2], db[3])
-    path.append((node, a, b))
-    fs_a = node.chosen[a[0]][a[1]]
-    fs_b = node.chosen[b[0]][b[1]]
+    for node, qa, ra, qb, rb in _differing(v):
+        path.append((node, (qa, ra), (qb, rb)))
+        if not node.children:
+            break
+    fs_a = node.chosen[qa][ra]
+    fs_b = node.chosen[qb][rb]
     diff = fs_a ^ fs_b
     assert diff, "leaf candidates identical: ID discrimination violated"
     feature = min(diff)

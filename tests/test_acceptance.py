@@ -299,7 +299,7 @@ def test_build_memory_bounded_by_the_built_tree():
         with gc_paused():
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ev = Evaluator(automaton, 2)
+            ev = Evaluator(automaton)
             root = ev.build(tree)
             kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -318,7 +318,7 @@ def test_build_shares_tables_across_equal_chains():
     width 11, gave 38,772)."""
     g, td = _family("grid-strip", 1024, random.Random(5))
     tree, automaton = prepare(g, "simple-path", 1, 1024, td)
-    ev = Evaluator(automaton, 2)
+    ev = Evaluator(automaton)
     ev.build(tree)
     assert len(ev.relevant) == 3067
     assert len({id(lists) for lists in ev.relevant}) <= 1567
@@ -333,7 +333,7 @@ def test_forgetting_early_narrows_the_memory_tests_instance():
     g, td = _family("grid-strip", 1024, random.Random(5))
     tree, automaton = prepare(g, "simple-path", 1, 1024, td)
     assert tree.max_order <= 8
-    ev = Evaluator(automaton, 2)
+    ev = Evaluator(automaton)
     ev.build(tree)
     assert sum(map(len, ev.relevant)) < 11_000
 

@@ -9,6 +9,7 @@ from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
 from twkbest.persist import best_pair, constrain, initial_version, pivot_query
+from twkbest.kbest import k_best, k_best_direct
 from twkbest.evaluation import (
     INF,
     EvalNode,
@@ -19,7 +20,6 @@ from twkbest.evaluation import (
     merge2,
     merge_k,
     reconstruct,
-    root_values,
 )
 
 
@@ -36,10 +36,9 @@ P3 = make_graph(3, [(1, 2), (2, 3)])
 
 
 def build(g, problem, **kw):
-    k = kw.pop("k", 2)
     t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
-    return Evaluator(a, k).build(t), a, t
+    return Evaluator(a).build(t), a, t
 
 
 # --- structure operators ----------------------------------------------------
@@ -105,7 +104,8 @@ def test_p3_single_path():
 
 def test_matching_infeasible_root():
     root, a, _ = build(P3, "perfect-matching")
-    assert root_values(root) == ()
+    assert root.table == []
+    assert k_best_direct(P3, "perfect-matching", 4) == []
 
 
 def test_reconstruct_k3_ranks():
@@ -127,7 +127,7 @@ def test_reconstruct_infinite_rank_rejected():
 def test_constraints_filter_at_introducing_leaf():
     t = build_parse_tree(balance(heuristic_decomposition(K3), K3), K3)
     a = builtin("simple-path", K3, 1, 3)
-    ev = Evaluator(a, 2)
+    ev = Evaluator(a)
     root = ev.build(t)
 
     def constrained(node, want):
@@ -180,13 +180,25 @@ def all_eval_nodes(root):
 ])
 def test_solution_ids_discriminate(problem, kw):
     for g in random_graphs(problem):
-        root, a, _ = build(g, problem, k=2, **kw)
+        root, a, _ = build(g, problem, **kw)
         for node in all_eval_nodes(root):
             den = _denotations(node)
             for (q1, r1), s1 in den.items():
                 for (q2, r2), s2 in den.items():
                     same_id = node.ids[q1][r1] == node.ids[q2][r2]
                     assert same_id == (s1 == s2)
+
+
+def _all_solutions(ev, node):
+    """Per state of the node, every solution its ``relevant`` list denotes,
+    one per entry of a leaf and one per pair of child solutions at a
+    join, repeats kept."""
+    rel = ev.relevant[node.eid]
+    if node.is_leaf():
+        return [[fs for _, fs in entries] for entries in rel]
+    sols1, sols2 = (_all_solutions(ev, c) for c in node.children)
+    return [[x | y for a, b in pairs for x in sols1[a] for y in sols2[b]]
+            for pairs in rel]
 
 
 @pytest.mark.parametrize("problem,directed", [
@@ -200,9 +212,9 @@ def test_decompositions_are_ids_unless_a_node_repeats_a_solution(problem,
                                                                  directed):
     """``Evaluator.decomp_ids`` is True exactly when no node has two entries
     denoting one solution, and then every node's IDs are its decompositions.
-    Graphs have at most 4 edges and 4 vertices, so k = 16 (every feature
-    set) truncates no table.  Vertex cover's promise bits repeat solutions
-    on P3; no other automaton repeats one."""
+    Every entry's solutions are read from the untruncated ``relevant``
+    lists (``_all_solutions``).  Vertex cover's promise bits repeat
+    solutions on P3; no other automaton repeats one."""
     rng = random.Random(f"{problem} {directed}")
     graphs = []
     for _ in range(30):
@@ -215,9 +227,9 @@ def test_decompositions_are_ids_unless_a_node_repeats_a_solution(problem,
     for g in graphs:
         kw = dict(s=1, t=g.n) if problem == "simple-path" else {}
         t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
-        ev = Evaluator(builtin(problem, g, **kw), 16)
+        ev = Evaluator(builtin(problem, g, **kw))
         nodes = all_eval_nodes(ev.build(t))
-        dens = [list(_denotations(u).values()) for u in nodes]
+        dens = [sum(_all_solutions(ev, u), []) for u in nodes]
         assert ev.decomp_ids == all(len(set(d)) == len(d) for d in dens)
         assert ev.decomp_ids or problem == "vertex-cover"
         if ev.decomp_ids:
@@ -235,7 +247,7 @@ def test_reconstruction_value_matches_table():
         s, t = (1, n) if n >= 2 else (1, 1)
         if s == t:
             continue
-        root, a, _ = build(g, "simple-path", s=s, t=t, k=4)
+        root, a, _ = build(g, "simple-path", s=s, t=t)
         q = 0
         for r, v in enumerate(root.table[q] if root.table else ()):
             if v is INF:
@@ -261,10 +273,10 @@ def random_graphs(problem, count=15):
                          [rng.randint(-5, 9) for _ in range(m)])
 
 
-def initial(g, problem, k=2, **kw):
+def initial(g, problem, **kw):
     t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
     a = builtin(problem, g, **kw)
-    return initial_version(t, a, k), a, t
+    return initial_version(t, a), a, t
 
 
 def eval_depth(node):
@@ -300,22 +312,27 @@ def test_evaluation_tree_is_contracted_full_binary_tree(problem, kw):
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("problem,kw", PROBLEMS)
 def test_engine_top_k_is_the_structure_fold(problem, kw, k):
-    """Each table the build fixes is criterion 7's operator applied to the
-    node's pairs: merge over pairs of combine, or lift at a leaf."""
-    st = TopKStructure(k)
+    """Each table the build fixes is criterion 7's operator with k = 2
+    applied to the node's pairs: merge over pairs of combine, or lift at a
+    leaf.  The same fold with k, values only (``top_values``), gives the
+    engine's first k values."""
+    st = TopKStructure(2)
     for g in random_graphs(problem):
-        v0, _, _ = initial(g, problem, k=k, **kw)
-        relevant = v0.evaluator.relevant
-        for u in all_eval_nodes(v0.root):
-            for q, table in enumerate(relevant[u.eid]):
-                if u.is_leaf():
-                    want = st.lift(v for v, _ in table)
-                else:
-                    t1, t2 = u.children[0].table, u.children[1].table
-                    want = st.merge_identity
-                    for i1, i2 in table:
-                        want = st.merge(want, st.combine(t1[i1], t2[i2]))
-                assert u.table[q] == want
+        v0, a, t = initial(g, problem, **kw)
+        if k == 2:
+            relevant = v0.evaluator.relevant
+            for u in all_eval_nodes(v0.root):
+                for q, table in enumerate(relevant[u.eid]):
+                    if u.is_leaf():
+                        want = st.lift(v for v, _ in table)
+                    else:
+                        t1, t2 = u.children[0].table, u.children[1].table
+                        want = st.merge_identity
+                        for i1, i2 in table:
+                            want = st.merge(want, st.combine(t1[i1], t2[i2]))
+                    assert u.table[q] == want
+        assert Evaluator(a).top_values(t, k) == \
+            [v for v, _ in k_best(g, problem, k, **kw)]
 
 
 @pytest.mark.parametrize("problem,kw", PROBLEMS)
@@ -342,7 +359,7 @@ def test_leaves_by_shape_equal_leaves_one_by_one(problem, kw):
                         for _ in range(m)), weights=weights)
         t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
         a = builtin(problem, g, **kw)
-        ev, ev0 = Evaluator(a, 2), Evaluator(a, 2)
+        ev, ev0 = Evaluator(a), Evaluator(a)
         ev.build(t)
         ev0.build(t._replace(graph=g._replace(weights={})))
         assert ev.feature == ev0.feature
@@ -373,14 +390,43 @@ def _random_child(rng, states):
     return EvalNode(None, (), table, ids, None)
 
 
+def _fold(plist, tables1, tables2, prefer, k=2) -> tuple | None:
+    """One state's (values, decompositions) over its pairs of child state
+    ids, or None if no pair is realizable: every (r1, r2) with r1 + r2 <
+    k, sorted by (value, preferred, pair index, r1, r2); prefer is the
+    decomposition forced first among its value ties, or None."""
+    cands = []
+    for pidx, (i1, i2) in enumerate(plist):
+        t1, t2 = tables1[i1], tables2[i2]
+        if t1 is None or t2 is None:
+            continue
+        for r1, v1 in enumerate(t1):
+            if v1 is INF:
+                break
+            for r2, v2 in enumerate(t2):
+                # (r1, r2) with r1 + r2 >= k is dominated by k earlier-
+                # sorting combinations, so it can never reach the top k.
+                if v2 is INF or r1 + r2 >= k:
+                    break
+                d = (i1, r1, i2, r2)
+                cands.append((v1 + v2, d != prefer, pidx, r1, r2, d))
+    if not cands:
+        return None
+    # (pidx, r1, r2) is unique within a state: d is never compared.
+    cands.sort()
+    top = cands[:k]
+    return (tuple(c[0] for c in top) + (INF,) * (k - len(top)),
+            tuple(c[5] for c in top))
+
+
 @pytest.mark.parametrize("decomp_ids", [True, False])
 def test_k2_kernel_is_the_general_fold(decomp_ids):
-    """``inner_node`` with k = 2 equals ``_fold`` on every state (IDs
-    interned in the same order where decompositions are not IDs), with and
-    without a survivor's state, on random child tables with INF padding,
-    value ties, empty states and repeated pairs."""
+    """``inner_node`` equals ``_fold``, the general top-k fold it replaced,
+    on every state (IDs interned in the same order where decompositions are
+    not IDs), with and without a survivor's state, on random child tables
+    with INF padding, value ties, empty states and repeated pairs."""
     rng = random.Random(f"k2 kernel {decomp_ids}")
-    ev = Evaluator(None, 2)
+    ev = Evaluator(None)
     ev.decomp_ids = decomp_ids
     for trial in range(3000):
         s1, s2 = rng.randint(1, 4), rng.randint(1, 4)
@@ -401,8 +447,8 @@ def test_k2_kernel_is_the_general_fold(decomp_ids):
         got = ev.inner_node(0, ch1, ch2, prefer)
         table, chosen, key_map = [], [], {}
         for q, plist in enumerate(ev.relevant[0]):
-            top = ev._fold(plist, ch1.table, ch2.table,
-                           prefer[1] if prefer and prefer[0] == q else None)
+            top = _fold(plist, ch1.table, ch2.table,
+                        prefer[1] if prefer and prefer[0] == q else None)
             table.append(top and top[0])
             chosen.append(top and top[1])
         assert got.table == table
@@ -436,7 +482,7 @@ def test_constant_leaf_with_a_solution_is_refused():
 
     a.leaf_table = leaky
     with pytest.raises(AssertionError, match="constant leaf"):
-        Evaluator(a, 2).build(t)
+        Evaluator(a).build(t)
 
 
 def test_constant_node_with_two_derivations_is_refused():
@@ -454,4 +500,4 @@ def test_constant_node_with_two_derivations_is_refused():
 
     a.delta = lax
     with pytest.raises(AssertionError, match="twice"):
-        Evaluator(a, 2).build(t)
+        Evaluator(a).build(t)

@@ -10,9 +10,12 @@ Each rung is the 2 x (n/2) grid strip of the acceptance gate, drawn as
 same graph as ``_family`` in ``tests/test_acceptance.py``: edge weights
 uniform in 1..50), on its own width-3 chain decomposition, with simple
 paths from vertex 1 to vertex n.
-It runs ``kbest.k_best`` to k values under ``perfbench/tracing.py``'s
-tracer and reads the stage times, constrain times, copies and tree sizes
-from it.
+It runs ``kbest.k_best`` to k values and their solutions under
+``perfbench/tracing.py``'s tracer and reads the stage times, constrain
+times, copies and tree sizes from it.  Every solution must be distinct, a
+simple 1-n path (``oracle.is_simple_path``) and weigh its value;
+``solutions_checked`` counts those checked, and the first that fails is
+the rung's ``error``.
 
 Every rung runs in a fresh Python process whose address space is capped at
 ``MAX_MB``.  A rung whose enumeration runs out of that memory keeps the
@@ -57,9 +60,27 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def check_solutions(g, results) -> tuple[int, str | None]:
+    """(solutions checked, the first fault or None): each solution of
+    ``results`` must be new, a simple 1-n path, and weigh its value."""
+    from twkbest.oracle import is_simple_path
+
+    seen = set()
+    for pos, (value, sol) in enumerate(results):
+        if sol in seen:
+            return pos, f"solution {pos} repeats an earlier one"
+        if not is_simple_path(g, sol, 1, g.n):
+            return pos, f"solution {pos} is not a simple 1-{g.n} path"
+        if g.value(sol) != value:
+            return pos, f"solution {pos} weighs {g.value(sol)}, not {value}"
+        seen.add(sol)
+    return len(results), None
+
+
 def rung(n: int, k: int) -> dict:
-    """One rung's figures: ``kbest.k_best`` to k values under the perfbench
-    tracer, which times the stages and every constrain and counts copies."""
+    """One rung's figures: ``kbest.k_best`` to k values and solutions under
+    the perfbench tracer, which times the stages and every constrain and
+    counts copies."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from twkbest import kbest
     from tracing import Tracer, installed
@@ -73,10 +94,11 @@ def rung(n: int, k: int) -> dict:
 
     g, td = grid_strip(n)
     tracer = RungTracer()
-    values = error = None
+    results = error = None
     try:
         with installed(tracer):
-            values = [v for v, _ in kbest.k_best(g, "simple-path", k, 1, n, td=td)]
+            results = kbest.k_best(g, "simple-path", k, 1, n,
+                                   want_solutions=True, td=td)
     except MemoryError:
         begun = sum(1 for span in tracer.spans
                     if span and span[0] == "persist.pivot_query")
@@ -107,8 +129,10 @@ def rung(n: int, k: int) -> dict:
         "peak_rss_after_build_mb": round(tracer.rss_built, 1),
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-    if values is not None:
+    if results is not None:
+        values = [v for v, _ in results]
         figures["values_sha256"] = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+        figures["solutions_checked"], error = check_solutions(g, results)
     if error:
         figures["error"] = error
     return figures
