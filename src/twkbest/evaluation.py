@@ -65,22 +65,6 @@ class TopKStructure:
         return self.lift(self.sums(a, b))
 
 
-def merge_k(a: tuple, b: tuple, k: int) -> tuple:
-    return TopKStructure(k).merge(a, b)
-
-
-def combine_k(a: tuple, b: tuple, k: int) -> tuple:
-    return TopKStructure(k).combine(a, b)
-
-
-def merge2(a: tuple, b: tuple) -> tuple:
-    return merge_k(a, b, 2)
-
-
-def combine2(a: tuple, b: tuple) -> tuple:
-    return combine_k(a, b, 2)
-
-
 class EvalNode:
     """One evaluation-tree node's results; immutable after construction.
 
@@ -88,8 +72,9 @@ class EvalNode:
     parse node it stands for.  Lists per state id (None where a constraint
     emptied the state):
     table:  (rank-0 value, rank-1 value), INF where no such solution
-    chosen: per-rank decomposition: a leaf's feature set, or
-            (i1, r1, i2, r2) naming child state ids and ranks
+    chosen: per-rank decomposition: a leaf's entry (its feature where
+            the solution takes it, else None), or (i1, r1, i2, r2)
+            naming child state ids and ranks
     ids:    per-rank solution ID (discriminating within the node); the
             same list as chosen at leaves, and at inner nodes unless the
             Evaluator's ``decomp_ids`` is False
@@ -117,8 +102,9 @@ class Evaluator:
     ``build`` fixes every per-node table once, in one bottom-up and one
     top-down pass over the parse tree: it numbers each evaluation node's
     relevant states 0..S-1 (the root state is 0) and stores, per state id,
-    the ordered pairs of child state ids (inner nodes) or (value, feature
-    set) entries (leaves) that are realizable without constraints.
+    the ordered pairs of child state ids (inner nodes) or entries (leaves:
+    the feature, or None without it) that are realizable without
+    constraints.
     Constraints only shrink these tables, so a path recopy filters a leaf's
     entries, skips the pairs whose child state has gone, and never calls the
     automaton.  The automaton's states live only in that build, interned
@@ -130,11 +116,14 @@ class Evaluator:
     def __init__(self, automaton: EvalAutomaton):
         self.automaton = automaton
         # eid -> per state id: its (child 1 id, child 2 id) pairs (inner
-        # nodes) or its (value, feature set) entries sorted by value (leaves).
+        # nodes) or a tuple of its 1-2 entries sorted by value (leaves).
         # Only relevant states get an id: those reachable from the root state
         # via fitting chains.
         self.relevant: list[list] = []
         self.feature: list = []          # eid -> a leaf's feature, else None
+        # feature -> weight, the graph's: an entry's value is
+        # weights.get(entry, 0), 0 for None, which is no feature.
+        self.weights: dict = {}
         # True if no node lists one solution in two entries: then distinct
         # decompositions denote distinct solutions (by induction from the
         # leaves, as sibling subtrees' feature sets are disjoint).
@@ -169,13 +158,14 @@ class Evaluator:
         to the live leaf or join at its bottom, expanding each top state into
         the sequence of live-side states its entries name.  The bottom's
         entries over that sequence are the top state's list: a leaf's
-        (value, feature set) entries, stably sorted by value, or a join's
-        pairs renamed to the children's ids by first appearance, which
+        entries, stably sorted by value, as a tuple, or a join's pairs
+        renamed to the children's ids by first appearance, which
         numbers the children's states.  As repeats add no new states, first
         appearance in the sequence is first use at every node of the chain.
         A leaf's order depends on its weight only through the sign, so its
-        lists are memoized as flags, which each leaf maps one to one to (0,
-        {}) or (weight, {feature}): checks on flags are checks on entries.
+        lists are memoized as flags, which each leaf maps one to one to None
+        or its feature: checks on flags are checks on entries.  A leaf
+        introduces one feature, so a state has at most these two entries.
         A (chain tables, top states, sign) memo hit shares the lists and the
         children's states; each table is dropped once consumed.  Only on a
         miss does it try a second key, (bottom table, composed sequences,
@@ -257,13 +247,12 @@ class Evaluator:
         root = sid.get(automaton.root_state())
         tops = [root] if root in realizable.pop(tree.root.nid) else []
         del pair_memo, shapes, sid, states, keys, order
+        self.weights = weights = tree.graph.weights
         if tree.root.nid not in live:    # no live leaf: one featureless leaf
             self.feature = [None]
-            self.relevant = [[[(0, frozenset())]] * len(tops)]
+            self.relevant = [[(None,)] * len(tops)]
             return [False]
 
-        weights = tree.graph.weights
-        untaken = (0, frozenset())       # a leaf entry without its feature
         joins: list[bool] = []
         feature: list = []
         relevant: list[list] = []
@@ -302,8 +291,9 @@ class Evaluator:
                     # and within a state the empty set first, as a state's
                     # flags are sorted.
                     if f is not None:
-                        lists = [sorted([x for q in seq for x in table[q]],
-                                        key=sign.__mul__) for seq in seqs]
+                        lists = [tuple(sorted(
+                                     [x for q in seq for x in table[q]],
+                                     key=sign.__mul__)) for seq in seqs]
                     else:
                         lists = [[(ids1.setdefault(a, len(ids1)),
                                    ids2.setdefault(b, len(ids2)))
@@ -326,38 +316,29 @@ class Evaluator:
                 relevant.append(lists)
                 stack.append((pn.children[1], tops2))
                 stack.append((pn.children[0], tops1))
-            else:
-                entry = (untaken, (w, frozenset((f,))))
-                relevant.append([[entry[x] for x in flags] for flags in lists])
+            else:                        # flag False: without the feature
+                forms = {(False,): (None,), (True,): (f,),
+                         (False, True): (None, f), (True, False): (f, None)}
+                relevant.append([forms[flags] for flags in lists])
         self.feature, self.relevant = feature, relevant
         return joins
 
     # -- node construction ----------------------------------------------
 
-    def leaf_node(self, eid: int, want: bool | None,
-                  prefer: tuple | None = None) -> EvalNode:
-        """Each state's ranks 0 and 1 from its entries, which are sorted by
-        value.  want: keep the entries with (True) or without (False) the
-        leaf's feature, or all (None).  prefer = (state id, feature set):
-        force that solution to rank 0 of its state among value ties
-        (survivor rule)."""
+    def leaf_node(self, eid: int, want: bool | None) -> EvalNode:
+        """Each state's ranks 0 and 1 are its entries, which are sorted by
+        value: at build (want None) ``chosen`` and ``ids`` are
+        ``relevant[eid]`` itself.  want: each state keeps only its entry
+        with (True) or without (False) the leaf's feature, if it has one."""
         feat, rel = self.feature[eid], self.relevant[eid]
-        table, chosen = [None] * len(rel), [None] * len(rel)
-        pq, pfs = (-1, None) if prefer is None else prefer
-        for i, entries in enumerate(rel):
-            if want is not None:
-                entries = [e for e in entries if (feat in e[1]) == want]
-                if not entries:
-                    continue
-            if i == pq:
-                entries = sorted(entries, key=lambda e: (e[0], e[1] != pfs))
-            if len(entries) > 1:
-                (v0, f0), (v1, f1) = entries[0], entries[1]
-                table[i], chosen[i] = (v0, v1), (f0, f1)
-            else:
-                (v0, f0), = entries
-                table[i], chosen[i] = (v0, INF), (f0,)
-        return EvalNode(eid, (), table, chosen, chosen)
+        if want is not None:
+            keep = (feat,) if want else (None,)
+            rel = [keep if keep[0] in entries else None for entries in rel]
+        value = self.weights.get
+        table = [None if e is None else
+                 (value(e[0], 0), value(e[1], 0) if len(e) > 1 else INF)
+                 for e in rel]
+        return EvalNode(eid, (), table, rel, rel)
 
     def inner_node(self, eid: int, ch1: EvalNode, ch2: EvalNode,
                    prefer: tuple | None = None) -> EvalNode:
@@ -445,13 +426,14 @@ class Evaluator:
         ``merge`` over the pairs' ``combine`` at a join, as one ``lift`` of
         their ``sums``.  Values only; a child's tables die with the fold."""
         joins = self._compute_relevant(tree)
+        weights = self.weights
         st = TopKStructure(k)
         lift, pair_sums = st.lift, st.sums
         folded: list[list] = []
         for eid in reversed(range(len(joins))):   # as in ``build``
             rel = self.relevant[eid]
             if not joins[eid]:
-                folded.append([lift([v for v, _ in entries])
+                folded.append([lift([weights.get(e, 0) for e in entries])
                                for entries in rel])
                 continue
             t1, t2 = folded.pop(), folded.pop()
@@ -478,9 +460,10 @@ def reconstruct(root: EvalNode, state: int, rank: int) -> frozenset[FeatureId]:
         node, q, r = stack.pop()
         d = node.chosen[q][r]
         if node.is_leaf():
-            acc |= d
+            acc.add(d)
         else:
             q1, r1, q2, r2 = d
             stack.append((node.children[0], q1, r1))
             stack.append((node.children[1], q2, r2))
+    acc.discard(None)                    # leaves whose feature it leaves out
     return frozenset(acc)

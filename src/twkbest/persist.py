@@ -2,7 +2,7 @@
 
 A ``Version`` is an immutable evaluation tree identified by its root node.
 ``constrain`` derives a new version by forcing or excluding the pivot
-feature at its own leaf, the only one whose feature sets name it, and
+feature at its own leaf, the only one whose entries name it, and
 re-evaluating only the root-to-leaf path (path copying) over the per-node
 tables ``Evaluator.build`` fixed, without calling the automaton; all other
 nodes are shared, so earlier versions keep answering queries unchanged.
@@ -14,7 +14,10 @@ constant subtree.  States are named by their per-node ids; the root state
 is id 0.
 One walk over the nodes where a version's best two solutions carry
 different IDs gives the pivot's path (its first root-to-leaf branch) and
-the second-best solution, as a difference from the best (all of it).
+the second-best solution, as a difference from the best (all of it).  A
+leaf's entry is its feature where the solution takes it and None where it
+does not, so the two entries of a leaf on that walk are its feature and
+None: the pivot is that feature, and a solution adds or drops it.
 """
 from __future__ import annotations
 
@@ -90,8 +93,8 @@ def solution_at(v: Version, rank: int,
                 ) -> frozenset[FeatureId]:
     """The root state's solution of that rank.  Given ``best``, the rank-0
     solution, rank 1 is found by difference: along the walk of
-    ``_differing``, each leaf's rank-0 feature set is swapped for its
-    rank-1 one.  Without ``best`` the whole tree is read."""
+    ``_differing``, each leaf's rank-0 entry is swapped for its rank-1
+    one.  Without ``best`` the whole tree is read."""
     if best is None:
         return reconstruct(v.root, 0, rank)
     assert rank == 1 and best_pair(v)[1] is not INF
@@ -99,8 +102,9 @@ def solution_at(v: Version, rank: int,
     added: set = set()
     for node, qa, ra, qb, rb in _differing(v):
         if not node.children:
-            dropped |= node.chosen[qa][ra]
-            added |= node.chosen[qb][rb]
+            dropped.add(node.chosen[qa][ra])
+            added.add(node.chosen[qb][rb])
+    added.discard(None)
     return best - dropped | added
 
 
@@ -115,12 +119,10 @@ def pivot_query(v: Version) -> PivotReport:
         path.append((node, (qa, ra), (qb, rb)))
         if not node.children:
             break
-    fs_a = node.chosen[qa][ra]
-    fs_b = node.chosen[qb][rb]
-    diff = fs_a ^ fs_b
-    assert diff, "leaf candidates identical: ID discrimination violated"
-    feature = min(diff)
-    return PivotReport(feature, tuple(path), feature in fs_a)
+    fa, fb = node.chosen[qa][ra], node.chosen[qb][rb]
+    assert (fa is None) != (fb is None), \
+        "leaf candidates identical: ID discrimination violated"
+    return PivotReport(fb if fa is None else fa, tuple(path), fa is not None)
 
 
 def constrain(v: Version, report: PivotReport, force: bool) -> Version:
@@ -129,8 +131,8 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
     are filtered.  Copies exactly the nodes on the report's path; the
     surviving solution (the one of v's best/second consistent with the
     constraint) is re-ranked first so it is the new version's best.  At the
-    leaf the survivor is named by its feature set, which is also its
-    solution ID."""
+    leaf each state keeps one entry, so the survivor's is its state's
+    best."""
     if not report.path or report.path[0][0] is not v.root:
         raise VersionError("report does not belong to this version")
     survivor_is_best = report.best_contains == force
@@ -139,10 +141,10 @@ def constrain(v: Version, report: PivotReport, force: bool) -> Version:
 
     leaf_entry = report.path[-1]
     leaf, (q, r) = leaf_entry[0], leaf_entry[pick]
-    fs = leaf.chosen[q][r]
     assert ev.feature[leaf.eid] == report.feature
-    fresh = ev.leaf_node(leaf.eid, force, prefer=(q, fs))
-    assert fresh.chosen[q][0] == fs, "survivor lost its state optimum"
+    fresh = ev.leaf_node(leaf.eid, force)
+    assert fresh.chosen[q][0] == leaf.chosen[q][r], \
+        "survivor lost its state optimum"
 
     for i in range(len(report.path) - 2, -1, -1):
         entry = report.path[i]

@@ -65,7 +65,7 @@ class EvalAutomaton:
             dropped = tuple(
                 (p, self._flag(old[p])) for p in range(len(old)) if p not in kept
             )
-            return ("proj", alpha, len(old), dropped)
+            return ("proj", alpha, dropped)
         raise ValueError(f"not an inner operator: {node.op}")
 
     def _flag(self, v: int) -> str:
@@ -185,7 +185,7 @@ class SimplePathAutomaton(EvalAutomaton):
         return self._prune(_renumber(slots, _deleted(j, len(slots))), c)
 
     def _proj(self, sig, slots, c):
-        alpha, dropped = sig[1], sig[3]
+        alpha, dropped = sig[1], sig[2]
         drop_flags = dict(dropped)
         consumed: set[int] = set()
 
@@ -313,7 +313,7 @@ class PerfectMatchingAutomaton(EvalAutomaton):
             del merged[j]
             return tuple(merged)
         if op == "proj":
-            alpha, dropped = sig[1], sig[3]
+            alpha, dropped = sig[1], sig[2]
             for p, _ in dropped:
                 if q1[p] != 1:
                     return None          # every vertex must end up matched

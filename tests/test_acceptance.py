@@ -27,10 +27,6 @@ from twkbest.evaluation import (
     INF,
     Evaluator,
     TopKStructure,
-    combine2,
-    combine_k,
-    merge2,
-    merge_k,
     reconstruct,
 )
 from twkbest.persist import best_pair, constrain, initial_version, pivot_query
@@ -384,19 +380,17 @@ def test_criterion_7_structure_laws(capsys):
             k = rng.randint(1, 4)
             a, b, c = (_random_tuple(rng, k) for _ in range(3))
             st = TopKStructure(k)
-            assert merge_k(merge_k(a, b, k), c, k) == \
-                merge_k(a, merge_k(b, c, k), k)
-            assert merge_k(a, b, k) == merge_k(b, a, k)
-            assert merge_k(a, st.merge_identity, k) == a
-            assert combine_k(combine_k(a, b, k), c, k) == \
-                combine_k(a, combine_k(b, c, k), k)
-            assert combine_k(a, st.combine_identity, k) == a
+            merge, combine = st.merge, st.combine
+            assert merge(merge(a, b), c) == merge(a, merge(b, c))
+            assert merge(a, b) == merge(b, a)
+            assert merge(a, st.merge_identity) == a
+            assert combine(combine(a, b), c) == combine(a, combine(b, c))
+            assert combine(a, st.combine_identity) == a
             if k == 2:
-                assert merge2(a, b) == merge_k(a, b, 2)
                 sums = sorted(x + y for x in a for y in b
                               if x is not INF and y is not INF)
                 sums += [INF, INF]
-                assert combine2(a, b) == (sums[0], sums[1])
+                assert combine(a, b) == (sums[0], sums[1])
     report(capsys, label, f" ({trials} random tuples incl. infinities)")
 
 

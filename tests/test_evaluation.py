@@ -1,6 +1,5 @@
 """Evaluation structures and the bottom-up evaluation with IDs."""
 import random
-from operator import itemgetter
 
 import pytest
 
@@ -15,10 +14,6 @@ from twkbest.evaluation import (
     EvalNode,
     Evaluator,
     TopKStructure,
-    combine2,
-    combine_k,
-    merge2,
-    merge_k,
     reconstruct,
 )
 
@@ -43,23 +38,26 @@ def build(g, problem, **kw):
 
 # --- structure operators ----------------------------------------------------
 
+T2, T3 = TopKStructure(2), TopKStructure(3)
+
+
 def test_combine2_examples():
-    assert combine2((1, 4), (2, 3)) == (3, 4)
-    assert combine2((0, INF), (7, 9)) == (7, 9)
-    assert combine2((5, INF), (1, INF)) == (6, INF)
+    assert T2.combine((1, 4), (2, 3)) == (3, 4)
+    assert T2.combine((0, INF), (7, 9)) == (7, 9)
+    assert T2.combine((5, INF), (1, INF)) == (6, INF)
 
 
 def test_merge2_examples():
-    assert merge2((1, 3), (2, 5)) == (1, 2)
-    assert merge2((INF, INF), (4, 7)) == (4, 7)
-    assert merge2((2, 2), (2, 9)) == (2, 2)
+    assert T2.merge((1, 3), (2, 5)) == (1, 2)
+    assert T2.merge((INF, INF), (4, 7)) == (4, 7)
+    assert T2.merge((2, 2), (2, 9)) == (2, 2)
 
 
 def test_topk_examples():
-    assert combine_k((1, 2, INF), (0, 5, INF), 3) == (1, 2, 6)
-    assert merge_k((1, 2, 3), (2, 2, 9), 3) == (1, 2, 2)
+    assert T3.combine((1, 2, INF), (0, 5, INF)) == (1, 2, 6)
+    assert T3.merge((1, 2, 3), (2, 2, 9)) == (1, 2, 2)
     x = (4, 8, INF)
-    assert combine_k((0, INF, INF), x, 3) == x
+    assert T3.combine((0, INF, INF), x) == x
 
 
 def test_combine2_second_is_second_smallest_pairwise_sum():
@@ -69,7 +67,7 @@ def test_combine2_second_is_second_smallest_pairwise_sum():
         b = tuple(sorted(rng.choice([rng.randint(-50, 50), INF]) for _ in range(2)))
         sums = sorted(x + y for x in a for y in b if x is not INF or y is not INF)
         sums += [INF, INF]
-        assert combine2(a, b) == (sums[0], sums[1])
+        assert T2.combine(a, b) == (sums[0], sums[1])
 
 
 def test_structure_monoid_laws():
@@ -189,13 +187,18 @@ def test_solution_ids_discriminate(problem, kw):
                     assert same_id == (s1 == s2)
 
 
+def _entry_set(e):
+    """The feature set a leaf's entry denotes: its feature, or none."""
+    return frozenset(() if e is None else (e,))
+
+
 def _all_solutions(ev, node):
     """Per state of the node, every solution its ``relevant`` list denotes,
     one per entry of a leaf and one per pair of child solutions at a
     join, repeats kept."""
     rel = ev.relevant[node.eid]
     if node.is_leaf():
-        return [[fs for _, fs in entries] for entries in rel]
+        return [[_entry_set(e) for e in entries] for entries in rel]
     sols1, sols2 = (_all_solutions(ev, c) for c in node.children)
     return [[x | y for a, b in pairs for x in sols1[a] for y in sols2[b]]
             for pairs in rel]
@@ -324,7 +327,7 @@ def test_engine_top_k_is_the_structure_fold(problem, kw, k):
             for u in all_eval_nodes(v0.root):
                 for q, table in enumerate(relevant[u.eid]):
                     if u.is_leaf():
-                        want = st.lift(v for v, _ in table)
+                        want = st.lift(g.value(_entry_set(e)) for e in table)
                     else:
                         t1, t2 = u.children[0].table, u.children[1].table
                         want = st.merge_identity
@@ -339,8 +342,8 @@ def test_engine_top_k_is_the_structure_fold(problem, kw, k):
 def test_leaves_by_shape_equal_leaves_one_by_one(problem, kw):
     """The relevance pass asks the automaton once per leaf shape and sorts
     each leaf's lists by the sign of its feature's weight.  Each live
-    leaf's lists must be its own ``leaf_table``'s feature sets sorted one
-    leaf at a time: in sequence order, by (value, sorted(fs)) within each
+    leaf's lists must be its own ``leaf_table``'s feature sets, as entries,
+    sorted one leaf at a time: in sequence order, by (value, sorted(fs)) within each
     leaf state, then stably by value.  The sequence is read from a build
     with every weight 0, where that sort keeps it with the empty set first
     in each state; with a weight w != 0 only the stable sort by value
@@ -368,10 +371,48 @@ def test_leaves_by_shape_equal_leaves_one_by_one(problem, kw):
                 continue
             own = {fs for sols in a.leaf_table(t.introducer[f]).values()
                    for fs in sols}
-            want = [sorted(((g.value(fs), fs) for _, fs in entries),
-                           key=itemgetter(0)) for entries in ev0.relevant[eid]]
-            assert all(fs in own for entries in want for _, fs in entries)
+            want = [tuple(sorted(entries,
+                                 key=lambda e: g.value(_entry_set(e))))
+                    for entries in ev0.relevant[eid]]
+            assert all(_entry_set(e) in own
+                       for entries in want for e in entries)
             assert ev.relevant[eid] == want
+
+
+@pytest.mark.parametrize("problem,kw", PROBLEMS)
+def test_a_constrained_leaf_keeps_the_entry_of_its_choice(problem, kw):
+    """``leaf_node(eid, want)`` keeps at most one entry per state: the
+    state's unconstrained entry with (want True) or without (False) the
+    leaf's feature, at that entry's value; a state without one is emptied.
+    Weights are negative, zero and positive, on vertices and edges."""
+    rng = random.Random(f"constrained leaf {problem}")
+    for _ in range(20):
+        n, m = rng.randint(4, 7), rng.randint(3, 10)
+        weights = {edge(i): rng.randint(-2, 2) for i in range(1, m + 1)}
+        weights.update((vertex(v), rng.randint(-2, 2))
+                       for v in range(1, n + 1))
+        g = WeightedGraph(
+            n=n, m=m, directed=rng.random() < 0.4,
+            edges=tuple((rng.randint(1, n), rng.randint(1, n))
+                        for _ in range(m)), weights=weights)
+        t = build_parse_tree(balance(heuristic_decomposition(g), g), g)
+        ev = Evaluator(builtin(problem, g, **kw))
+        for u in all_eval_nodes(ev.build(t)):
+            f = ev.feature[u.eid]
+            if u.children or f is None:
+                continue
+            for want in (True, False):
+                got = ev.leaf_node(u.eid, want)
+                assert got.ids is got.chosen
+                for q, entries in enumerate(u.chosen):
+                    made = [e for e in entries if (e == f) == want]
+                    assert len(made) <= 1
+                    if made:
+                        assert got.chosen[q] == (made[0],)
+                        assert got.table[q] == (g.value(_entry_set(made[0])),
+                                                INF)
+                    else:
+                        assert got.chosen[q] is None is got.table[q]
 
 
 def _random_child(rng, states):
