@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FeatureId, WeightedGraph, edge, vertex
+from .core import FeatureId, WeightedGraph
 from .treedec import ShallowDecomposition
 
 
@@ -51,17 +51,120 @@ class ParseNode:
         return f"ParseNode({self.op}, order={self.order}, srcs={self.srcs})"
 
 
+class Gadget:
+    """The parse nodes that each bag of one shape makes, in the order
+    ``build_parse_tree`` makes them.  A shape is the bag's size, the ranks
+    it shares with its parent bag, its children's interfaces and its edges
+    in edge order, all as ranks in the bag's sorted vertices.
+
+    Per node: ``ops``, its op; ``children``, each a node of the gadget
+    (j >= 0) or the fragment of the bag's s-th child with one (-1 - s);
+    ``srcs``, its sources as ranks; ``features``, at a leaf (FeatureId
+    rank, index), the index into the bag's edges or vertices, else None.
+    ``kid_srcs`` are the children's interfaces.  ``out`` is the bag's
+    fragment: its last node, a child's (-1 - s), or None if it has no
+    parts.  The fragment's height is ``base`` (its height over the bag's
+    own leaves, -1 if none) or a child's height plus its ``dist`` to it,
+    whichever is larger; ``order`` is the largest order of the nodes, and
+    ``leaves`` is the number of leaves."""
+
+    __slots__ = ("ops", "children", "srcs", "features", "kid_srcs", "out",
+                 "base", "dist", "order", "leaves")
+
+    def __init__(self, nodes: list[ParseNode], kids: list[ParseNode],
+                 out: ParseNode | None):
+        self.ops = tuple(u.op for u in nodes)
+        self.children = tuple(tuple(c.nid for c in u.children) for u in nodes)
+        self.srcs = tuple(u.srcs for u in nodes)
+        self.features = tuple(u.feature for u in nodes)
+        self.kid_srcs = tuple(k.srcs for k in kids)
+        self.out = None if out is None else out.nid
+        self.order = max(map(len, self.srcs), default=0)
+        self.leaves = len(nodes) - sum(map(bool, self.children))
+        height = []                      # over the bag's own leaves
+        for u in nodes:
+            h = -1 if u.children else 0
+            for c in u.children:
+                if c.nid >= 0 and height[c.nid] >= h:
+                    h = height[c.nid] + 1
+            height.append(h)
+        self.base = height[-1] if nodes else -1
+        below = [0] * len(nodes)         # edges from each node up to out
+        self.dist = [0] * len(kids)
+        for u in reversed(nodes):
+            for c in u.children:
+                if c.nid >= 0:
+                    below[c.nid] = below[u.nid] + 1
+                else:
+                    self.dist[-1 - c.nid] = below[u.nid] + 1
+
+
+class Bag(NamedTuple):
+    """A bag that makes parse nodes: its gadget and what fills it."""
+
+    gadget: Gadget
+    verts: tuple[int, ...]               # sorted: rank r is verts[r]
+    eids: tuple[int, ...]                # its edges' indices, in edge order
+    kids: tuple[int, ...]                # per child fragment, the position
+                                         # in ParseTree.bags of its bag
+
+    def parse_nodes(self, kid_nodes, base: int = 0) -> list[ParseNode]:
+        """The gadget's nodes for this bag, numbered from base, over the
+        children's fragment nodes."""
+        verts, eids = self.verts, self.eids
+        made: list[ParseNode] = []
+        g = self.gadget
+        for op, refs, srcs, feat in zip(g.ops, g.children, g.srcs,
+                                        g.features):
+            if feat is not None:
+                feat = FeatureId(feat[0], (eids if feat[0] else verts)[feat[1]])
+            made.append(ParseNode(
+                op, tuple([made[c] if c >= 0 else kid_nodes[-1 - c]
+                           for c in refs]),
+                tuple([verts[r] for r in srcs]), feat, base + len(made)))
+        return made
+
+
 class ParseTree(NamedTuple):
-    root: ParseNode
-    nodes: list[ParseNode]               # postorder; nid indexes this list
+    """A parse tree by bags: ``bags`` in postorder, the last making the
+    root.  Node i of the bag at position p has nid ``offset + i``, where
+    offset counts the nodes of the bags before it.  ``nodes``, ``root`` and
+    ``introducer`` expand it into ``ParseNode``s on first read."""
+
+    bags: list[Bag]
+    size: int                            # parse nodes
     depth: int
     max_order: int
-    introducer: dict[FeatureId, ParseNode]
     graph: WeightedGraph
+    expansion: list                      # [root, nodes, introducer] once read
+
+    @property
+    def root(self) -> ParseNode:
+        return self._expand()[0]
+
+    @property
+    def nodes(self) -> list[ParseNode]:  # postorder; nid indexes this list
+        return self._expand()[1]
+
+    @property
+    def introducer(self) -> dict[FeatureId, ParseNode]:
+        return self._expand()[2]
+
+    def _expand(self) -> list:
+        if not self.expansion:
+            nodes: list[ParseNode] = []
+            last = []                    # bag position -> its fragment's nid
+            for bag in self.bags:
+                nodes += bag.parse_nodes([nodes[last[k]] for k in bag.kids],
+                                         len(nodes))
+                last.append(len(nodes) - 1)
+            introducer = {u.feature: u for u in nodes if u.feature is not None}
+            self.expansion[:] = nodes[-1], nodes, introducer
+        return self.expansion
 
 
 def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
-    """Translate a shallow decomposition into a parse tree.
+    """Translate a shallow decomposition into a parse tree, by bags.
 
     Each decomposition bag becomes a constant-size gadget: join the child
     fragments and the leaves of edges assigned to this bag, fuse duplicate
@@ -72,21 +175,13 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     join takes an empty child.  ``sd`` must be valid (``balance`` checks
     it): then a vertex's topmost bag is the one bag holding it whose parent
     does not, and an edge's is the deeper of its ends' topmost bags.
-    Equal op tuples are one object.
 
-    The parts are joined one at a time (see ``_join_order``).  Next comes
-    the part that adds the fewest new vertices, so the running order stays
-    small; then the one sharing the most; on a full tie, leaves come before
-    child fragments, so the paths up from the fragments pass few of the
-    bag's joins.  A self-loop's leaf is fused before it is joined, so both
-    sides of a join have distinct sources in the bag, and a join's order is
-    at most |bag| + the part's order <= 2 |bag|.
-
-    A vertex is forgotten as early as possible, as in a nice tree
-    decomposition: before each join, every vertex that the parent bag does
-    not share and that no part left to join holds gets its introducing leaf
-    spliced in (if it has none yet) and is projected out.  So introducing
-    leaves sit low in the gadget and the later joins carry fewer sources.
+    These decisions read only the bag's shape (see ``Gadget``), so they are
+    made once per shape (``_gadget``), and each bag records its gadget, its
+    vertices and edges and its children's bags.  The tree's depth, largest
+    order and node count come from the gadgets; no ``ParseNode`` is made
+    until ``nodes``, ``root`` or ``introducer`` is read.  Equal op tuples
+    are one object.
     """
     bags = sd.bags
     children = sd.children
@@ -106,38 +201,105 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         missing = [v for v in range(1, g.n + 1) if v not in top_bag]
         raise ParseTreeError(f"decomposition misses vertices {missing[:5]}")
 
-    edges_at: dict[int, list[tuple[int, int, int]]] = {}
+    eids_at: dict[int, list[int]] = {}   # bag -> its edges' indices
+    ends_at: dict[int, list[int]] = {}   # bag -> its edges' ends, flat
     for ei, (t, h) in enumerate(g.edges, 1):
         b = top_bag[t]
         if h not in bags[b]:
             b = top_bag[h]
             if t not in bags[b]:
                 raise ParseTreeError(f"edge e{ei} covered by no bag")
-        edges_at.setdefault(b, []).append((ei, t, h))
+        if b in eids_at:
+            eids_at[b].append(ei)
+            ends_at[b] += t, h
+        else:
+            eids_at[b] = [ei]
+            ends_at[b] = [t, h]
 
     edge_op = ("edge", "fwd" if g.directed else "undir")
-    nodes: list[ParseNode] = []
-    height: list[int] = []               # by nid, recorded as nodes are made
     ops: dict[tuple, tuple] = {}         # equal op tuples are one object
-    introducer: dict[FeatureId, ParseNode] = {}
-    introduced: set[int] = set()         # vertices with an introducing leaf
+    gadgets: dict[tuple, Gadget] = {}    # shape -> its gadget
+    made: list[Bag] = []
+    height: list[int] = []               # bag position -> its fragment's
+
+    def visit(b: int):
+        """The bag's fragment, as (position of the bag making it, its
+        sources), or None."""
+        kids = [k for k in map(visit, children.get(b, ())) if k]
+        verts = tuple(sorted(bags[b]))
+        rank = verts.index
+        p = parent[b]
+        try:
+            kid_srcs = tuple([tuple(map(rank, srcs)) for _, srcs in kids])
+        except ValueError:
+            raise ParseTreeError(f"bag {b}: stray source vertices") from None
+        shared = () if p is None else sorted(bags[b] & bags[p])
+        shape = (len(verts), tuple(map(rank, shared)), kid_srcs,
+                 tuple(map(rank, ends_at.get(b, ()))))
+        gad = gadgets.get(shape)
+        if gad is None:
+            gad = gadgets[shape] = _gadget(*shape, edge_op, ops)
+        if gad.out is None:
+            return None
+        if gad.out < 0:                  # a child's fragment, passed up
+            return kids[-1 - gad.out]
+        positions = tuple([k for k, _ in kids])
+        made.append(Bag(gad, verts, tuple(eids_at.get(b, ())), positions))
+        h = gad.base
+        for k, d in zip(positions, gad.dist):
+            if height[k] + d > h:
+                h = height[k] + d
+        height.append(h)
+        return len(made) - 1, tuple(map(verts.__getitem__, gad.srcs[-1]))
+
+    root = visit(sd.root)
+    del visit                            # recursive closure: break the cycle
+    if root is None:
+        raise ParseTreeError("the root bag has no fragment")
+    if root[1]:
+        raise ParseTreeError("root fragment still has sources")
+    assert root[0] == len(made) - 1, "the last bag makes the root"
+
+    tree = ParseTree(made, sum(len(bag.gadget.ops) for bag in made),
+                     height[-1], max(bag.gadget.order for bag in made), g, [])
+    if sum(bag.gadget.leaves for bag in made) != g.n + g.m:
+        for fid in list(g.vertex_features()) + list(g.edge_features()):
+            if fid not in tree.introducer:
+                raise ParseTreeError(f"feature {fid} has no introducing leaf")
+    return tree
+
+
+def _gadget(size: int, shared: tuple, kid_srcs: tuple, edges: tuple,
+            edge_op: tuple, ops: dict) -> Gadget:
+    """The gadget of one bag shape (see ``Gadget``), in ranks; ``edges``
+    holds the ends of the bag's edges, flat.
+
+    The parts are joined one at a time (see ``_join_order``).  Next comes
+    the part that adds the fewest new vertices, so the running order stays
+    small; then the one sharing the most; on a full tie, leaves come before
+    child fragments, so the paths up from the fragments pass few of the
+    bag's joins.  A self-loop's leaf is fused before it is joined, so both
+    sides of a join have distinct sources in the bag, and a join's order is
+    at most |bag| + the part's order <= 2 |bag|.
+
+    A vertex is forgotten as early as possible, as in a nice tree
+    decomposition: before each join, every vertex that the parent bag does
+    not share and that no part left to join holds gets its introducing leaf
+    spliced in (if it has none yet) and is projected out.  So introducing
+    leaves sit low in the gadget and the later joins carry fewer sources.
+    """
+    nodes: list[ParseNode] = []
+    introduced: set[int] = set()         # ranks with an introducing leaf
 
     def mk(op, children_, srcs, feature=None) -> ParseNode:
         node = ParseNode(ops.setdefault(op, op), children_, srcs, feature,
                          len(nodes))
         nodes.append(node)
-        h = 0
-        for c in children_:
-            if height[c.nid] >= h:
-                h = height[c.nid] + 1
-        height.append(h)
         return node
 
-    def vertex_leaf(v: int) -> ParseNode:
-        f = vertex(v)
-        introduced.add(v)
-        node = introducer[f] = mk(("vertex",), (), (v,), f)
-        return node
+    def vertex_leaf(r: int) -> ParseNode:
+        introduced.add(r)
+        return mk(("vertex",), (), (r,), (0, r))
 
     def fuse_duplicates(cur: ParseNode) -> ParseNode:
         """Fuse each later copy of a source into its first, left to right."""
@@ -165,54 +327,37 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
                 cur = mk(("attach", cur.srcs.index(v)), (cur, leaf), cur.srcs)
         return mk(("proj", tuple(map(cur.srcs.index, keep))), (cur,), keep)
 
-    def build_bag(b: int) -> ParseNode | None:
-        kids = [k for k in map(build_bag, children.get(b, ())) if k]
-        leaves = []
-        for ei, t, h in edges_at.get(b, ()):
-            f = edge(ei)
-            leaf = introducer[f] = mk(edge_op, (), (t, h), f)
-            leaves.append(fuse_duplicates(leaf) if t == h else leaf)
-        p = parent[b]
-        shared = bags[b] & bags[p] if p is not None else frozenset()
-        copies = set().union(*[part.srcs for part in kids + leaves])
-        for v in sorted(bags[b] - shared - copies):  # introduced here
-            leaves.append(vertex_leaf(v))
+    kids = [ParseNode(None, (), srcs, None, -1 - s)
+            for s, srcs in enumerate(kid_srcs)]
+    leaves = []
+    for j in range(len(edges) // 2):
+        t, h = edges[2 * j], edges[2 * j + 1]
+        leaf = mk(edge_op, (), (t, h), (1, j))
+        leaves.append(fuse_duplicates(leaf) if t == h else leaf)
+    copies = set().union(*[part.srcs for part in kids + leaves])
+    for r in range(size):
+        if r not in shared and r not in copies:     # introduced here
+            leaves.append(vertex_leaf(r))
 
-        # Join one part at a time, fusing shared vertices immediately and
-        # forgetting the unshared ones no part left to join holds.
-        parts = _join_order(leaves + kids)
-        last: dict[int, int] = {}        # vertex -> last part holding it
-        for i, part in enumerate(parts):
-            for v in part.srcs:
-                last[v] = i
-        cur = parts[0] if parts else None
-        for i in range(1, len(parts)):
-            cur = project(cur, tuple([v for v in cur.srcs
-                                      if v in shared or last[v] >= i]))
-            cur = fuse_duplicates(
-                mk(("join",), (cur, parts[i]), cur.srcs + parts[i].srcs))
-        if cur is None:
-            return None
-
-        if not bags[b].issuperset(cur.srcs):
-            stray = [v for v in cur.srcs if v not in bags[b]]
-            raise ParseTreeError(f"bag {b}: stray source vertices {stray}")
+    # Join one part at a time, fusing shared vertices immediately and
+    # forgetting the unshared ones no part left to join holds.
+    parts = _join_order(leaves + kids)
+    last: dict[int, int] = {}            # vertex -> last part holding it
+    for i, part in enumerate(parts):
+        for v in part.srcs:
+            last[v] = i
+    cur = parts[0] if parts else None
+    for i in range(1, len(parts)):
+        cur = project(cur, tuple([v for v in cur.srcs
+                                  if v in shared or last[v] >= i]))
+        cur = fuse_duplicates(
+            mk(("join",), (cur, parts[i]), cur.srcs + parts[i].srcs))
+    if cur is not None:
         # Project to the interface with the parent bag (canonical order);
         # only vertices with a copy in this fragment are passed up.
-        return project(cur, tuple(sorted(shared.intersection(cur.srcs))))
-
-    root = build_bag(sd.root)
-    del build_bag                        # recursive closure: break the cycle
-    if root.order != 0:
-        raise ParseTreeError("root fragment still has sources")
-
-    if len(introducer) != g.n + g.m:
-        for fid in list(g.vertex_features()) + list(g.edge_features()):
-            if fid not in introducer:
-                raise ParseTreeError(f"feature {fid} has no introducing leaf")
-
-    max_order = max(len(n.srcs) for n in nodes)
-    return ParseTree(root, nodes, height[root.nid], max_order, introducer, g)
+        cur = project(cur, tuple(sorted(set(shared).intersection(cur.srcs))))
+    assert not nodes or cur is nodes[-1], "a gadget's fragment is its last node"
+    return Gadget(nodes, kids, cur)
 
 
 def _join_order(parts: list[ParseNode]) -> list[ParseNode]:

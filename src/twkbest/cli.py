@@ -178,6 +178,9 @@ def _run_solver(args, problem: str) -> int:
               f"max_copies={stats.max_copies} time={elapsed:.3f}s "
               f"peak_rss_mb={rss_kib / 1024:.1f}",
               file=sys.stderr)
+        print("stages: " + " ".join(f"{name}={stats.stage_s[name]:.3f}s"
+                                    for name in stats.STAGES),
+              file=sys.stderr)
         if stats.infeasible:
             print("stats: infeasible", file=sys.stderr)
         elif stats.exhausted_after is not None:

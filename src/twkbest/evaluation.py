@@ -10,23 +10,28 @@ as enumeration reads only each version's best two solutions;
 ``Evaluator.build`` produces an immutable tree of ``EvalNode`` objects: the
 parse tree contracted to its live leaves (whose feature has the automaton's
 kind) and the inner nodes with two live children, a full binary tree.  It
-sweeps the parse tree twice: bottom-up for each node's realizable states,
-then top-down over the contracted tree's nodes only, numbering their states
-and composing the unary chains between them.  Each node holds per-state
-values, canonical chosen decompositions per rank, and solution IDs
-satisfying the discriminating property: two (state, rank) entries of one
-node carry the same ID iff they denote the same solution.  A solution's ID
-is its decomposition, unless some node lists one solution in two states
-(vertex cover's promise bits do); then inner nodes intern ID pairs.
-Values add exactly; ``kbest`` range-checks only the values it reports.
+sweeps the parse tree twice: bottom-up, one bag at a time, for each node's
+realizable states, then top-down over the contracted tree's nodes only,
+numbering their states and composing the unary chains between them.  Each
+node holds per-state values, canonical chosen decompositions per rank, and
+solution IDs satisfying the discriminating property: two (state, rank)
+entries of one node carry the same ID iff they denote the same solution.  A
+solution's ID is its decomposition, unless some node lists one solution in
+two states (vertex cover's promise bits do); then inner nodes intern ID
+pairs.  Values add exactly; ``kbest`` range-checks only the values it
+reports.
 """
 from __future__ import annotations
 
 from .core import FeatureId
-from .algebra import ParseTree
+from .algebra import ParseNode, ParseTree
 from .problems import EvalAutomaton, state_key
 
 INF = float("inf")
+# A leaf state's flags, one per entry, True where the entry is the feature
+# and False where it is None: a state lists at most these two entries.
+FORMS = ((False,), (True,), (False, True), (True, False))
+WITHOUT = (None,)                        # the entries of flags (False,)
 
 
 class TopKStructure:
@@ -134,7 +139,12 @@ class Evaluator:
         ``relevant`` and ``feature`` by eid, in preorder from the root, and
         ``decomp_ids``, and returns whether each evaluation node is a join.
 
-        Bottom-up, each distinct state is interned once as an int with its
+        Bottom-up, it takes the tree's bags in postorder, one memo lookup
+        each, keyed by the bag's gadget, the automaton's ``flags`` on its
+        vertices (all a proj signature reads of a vertex) and its children's
+        fragment summaries (realizable set, live).  Only on a miss does it
+        make the gadget's parse nodes for that bag and take them one by one.
+        Each distinct state is interned once as an int with its
         ``state_key``; a node's table maps those ints to its fitting child
         states, flat: pairs a1, b1, a2, b2, ... under a two-child node (a,
         then b, in key order), a1, a2, ... under a one-child ``fuse`` or
@@ -144,7 +154,9 @@ class Evaluator:
         node if it has a live child; only live nodes keep their tables.  A
         constant node denotes only the empty set: each realizable state of a
         constant leaf lists it once, and each of a constant inner node has
-        one fitting tuple, of the node's arity.
+        one fitting tuple, of the node's arity.  A bag's entry holds its
+        fragment's summary and its live nodes' tables, shared by every bag
+        with its key.
 
         Leaves go by shape, (op, live): by ``EvalAutomaton.leaf_table``'s
         contract a leaf's table depends only on its op and feature and names
@@ -165,12 +177,14 @@ class Evaluator:
         A leaf's order depends on its weight only through the sign, so its
         lists are memoized as flags, which each leaf maps one to one to None
         or its feature: checks on flags are checks on entries.  A leaf
-        introduces one feature, so a state has at most these two entries.
-        A (chain tables, top states, sign) memo hit shares the lists and the
-        children's states; each table is dropped once consumed.  Only on a
-        miss does it try a second key, (bottom table, composed sequences,
-        sign), of which the lists are a function: chains of different
-        tables can compose to the same sequences."""
+        introduces one feature, so a state has at most these two entries,
+        and its flags are one of ``FORMS``, kept as their index there.
+        A chain is walked a segment per bag, each segment made once per
+        (bag entry, node).  A (segments, top states, sign) memo hit shares
+        the lists and the children's states.  Only on a miss does it try a
+        second key, (bottom table, composed sequences, sign), of which the
+        lists are a function: chains of different tables can compose to the
+        same sequences."""
         automaton, kind = self.automaton, self.automaton.kind
         sid: dict = {}                   # state -> its int
         states: list = []                # int -> state
@@ -186,106 +200,180 @@ class Evaluator:
             return i
 
         pair_memo: dict = {}
-        shapes: dict = {}                # (op, live) -> flags table, realizable
-        realizable: dict[int, tuple] = {}  # nid -> ints, until its parent
-        live: dict[int, dict] = {}       # live nid -> table, until consumed
-        for pn in tree.nodes:            # children precede parents
-            if pn.is_leaf():
-                f = pn.feature
-                is_live = f is not None and f.kind == kind
-                shape = shapes.get((pn.op, is_live))
-                if shape is None:
-                    leaf = automaton.leaf_table(pn)
-                    if is_live:
-                        taken = frozenset((f,))
-                        assert all(sols and all(fs == taken or not fs
-                                                for fs in sols)
-                                   for sols in leaf.values()), \
-                            f"leaf {pn.nid}: a state lists no set, or a " \
-                            f"feature not its own"
-                    else:
-                        assert all(s == [frozenset()] for s in leaf.values()), \
-                            f"constant leaf {pn.nid} denotes a nonempty solution"
-                    table = {intern(q): tuple(sorted(map(bool, sols)))
-                             for q, sols in leaf.items()}
-                    shape = shapes[pn.op, is_live] = \
-                        table, tuple(sorted(table, key=order))
-                table, realizable[pn.nid] = shape
-                if is_live:
-                    live[pn.nid] = table
-                continue
-            c1 = pn.children[0]
-            c2 = pn.children[1] if len(pn.children) == 2 else None
-            sig = automaton.signature(pn)
-            if c2 is None:
-                memo_key = (sig, realizable.pop(c1.nid))
-            else:
-                memo_key = (sig, realizable.pop(c1.nid), realizable.pop(c2.nid))
-            if memo_key not in pair_memo:
-                pairs: dict = {}
-                if c2 is None:
-                    for a in memo_key[1]:
-                        q = automaton.delta(sig, states[a])
-                        if q is not None:
-                            pairs.setdefault(intern(q), []).append(a)
+        shapes: dict = {}                # (op, live) -> flags table,
+                                         # realizable
+        summaries: list = []             # id -> (realizable ints, live)
+        summary_id: dict = {}
+
+        def entry_of(bag, kid_ids) -> tuple:
+            """A bag's entry: its fragment's summary id, and per node its
+            table (None unless live) and its live side (0 or 1) where it is
+            a step of a chain, else -1; then its chain segments, made as
+            the walk meets them."""
+            gad = bag.gadget
+            verts = bag.verts
+            stand_ins = [ParseNode(None, (), tuple([verts[r] for r in srcs]))
+                         for srcs in gad.kid_srcs]
+            real, live, tables, sides = [], [], [], []
+            for pn, refs in zip(bag.parse_nodes(stand_ins), gad.children):
+                side = -1
+                if not refs:
+                    f = pn.feature
+                    is_live = f.kind == kind
+                    shape = shapes.get((pn.op, is_live))
+                    if shape is None:
+                        leaf = automaton.leaf_table(pn)
+                        if is_live:
+                            taken = frozenset((f,))
+                            assert all(sols and all(fs == taken or not fs
+                                                    for fs in sols)
+                                       for sols in leaf.values()), \
+                                f"leaf {f}: a state lists no set, or a " \
+                                f"feature not its own"
+                        else:
+                            assert all(s == [frozenset()]
+                                       for s in leaf.values()), \
+                                f"constant leaf {f} denotes a nonempty " \
+                                f"solution"
+                        table = {intern(q): tuple(sorted(map(bool, sols)))
+                                 for q, sols in leaf.items()}
+                        shape = shapes[pn.op, is_live] = \
+                            table, tuple(sorted(table, key=order))
+                    table, r = shape
                 else:
-                    for a in memo_key[1]:
-                        q1 = states[a]
-                        for b in memo_key[2]:
-                            q = automaton.delta(sig, q1, states[b])
-                            if q is not None:
-                                pairs.setdefault(intern(q), []).extend((a, b))
-                table = {q: tuple(p) for q, p in pairs.items()}
-                pair_memo[memo_key] = table, tuple(sorted(table, key=order))
-            table, realizable[pn.nid] = pair_memo[memo_key]
-            if c1.nid in live or c2 is not None and c2.nid in live:
-                live[pn.nid] = table
-            else:
-                arity = len(pn.children)
-                assert all(len(p) == arity for p in table.values()), \
-                    f"constant node {pn.nid} denotes the empty set twice"
+                    kids = [(real[c], live[c]) if c >= 0
+                            else summaries[kid_ids[-1 - c]] for c in refs]
+                    sig = automaton.signature(pn)
+                    memo_key = (sig, *[k[0] for k in kids])
+                    if memo_key not in pair_memo:
+                        pairs: dict = {}
+                        if len(kids) == 1:
+                            for a in memo_key[1]:
+                                q = automaton.delta(sig, states[a])
+                                if q is not None:
+                                    pairs.setdefault(intern(q), []).append(a)
+                        else:
+                            for a in memo_key[1]:
+                                q1 = states[a]
+                                for b in memo_key[2]:
+                                    q = automaton.delta(sig, q1, states[b])
+                                    if q is not None:
+                                        pairs.setdefault(intern(q),
+                                                         []).extend((a, b))
+                        table = {q: tuple(p) for q, p in pairs.items()}
+                        pair_memo[memo_key] = \
+                            table, tuple(sorted(table, key=order))
+                    table, r = pair_memo[memo_key]
+                    sides_live = [k[1] for k in kids]
+                    is_live = True in sides_live
+                    if not is_live:
+                        arity = len(refs)
+                        assert all(len(p) == arity for p in table.values()), \
+                            f"constant node {pn.op} denotes the empty " \
+                            f"set twice"
+                    elif sides_live.count(True) == 1:
+                        side = sides_live.index(True)
+                real.append(r)
+                live.append(is_live)
+                tables.append(table if is_live else None)
+                sides.append(side)
+            key = (real[-1], live[-1])
+            s = summary_id.get(key)
+            if s is None:
+                s = summary_id[key] = len(summaries)
+                summaries.append(key)
+            return s, tables, sides, {}
+
+        bags = tree.bags
+        flags = automaton.flags
+        memo: dict = {}                  # bag key -> its entry
+        entries: list = []               # bag position -> its entry
+        fragment: list[int] = []         # bag position -> its summary id
+        for bag in bags:                 # children precede parents
+            kid_ids = tuple([fragment[k] for k in bag.kids])
+            key = (id(bag.gadget),
+                   tuple(map(flags.get, bag.verts)) if flags else None,
+                   kid_ids)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = entry_of(bag, kid_ids)
+            fragment.append(entry[0])
+            entries.append(entry)
+        realizable, root_live = summaries[fragment[-1]]
         root = sid.get(automaton.root_state())
-        tops = [root] if root in realizable.pop(tree.root.nid) else []
-        del pair_memo, shapes, sid, states, keys, order
+        tops = [root] if root in realizable else []
+        del pair_memo, shapes, sid, states, keys, order, memo, fragment
         self.weights = weights = tree.graph.weights
-        if tree.root.nid not in live:    # no live leaf: one featureless leaf
+        if not root_live:                # no live leaf: one featureless leaf
             self.feature = [None]
             self.relevant = [[(None,)] * len(tops)]
             return [False]
 
+        def segment_at(p: int, i: int) -> tuple:
+            """The chain from node i of bag p down to that bag's end, made
+            once per (entry, node): its steps (table, live side, arity),
+            then its bottom node, or None and the child slot it goes on
+            into."""
+            entry = entries[p]
+            seg = entry[3].get(i)
+            if seg is None:
+                refs_of, tables, sides = bags[p].gadget.children, entry[1], \
+                    entry[2]
+                steps, j, slot = [], i, None
+                while sides[j] >= 0:
+                    refs = refs_of[j]
+                    steps.append((tables[j], sides[j], len(refs)))
+                    j = refs[sides[j]]
+                    if j < 0:
+                        j, slot = None, -1 - j
+                        break
+                seg = entry[3][i] = tuple(steps), j, slot
+            return seg
+
         joins: list[bool] = []
         feature: list = []
         relevant: list[list] = []
-        # (chain tables' ids, top states, sign) -> lists, children's top
-        # states; on a miss, (bottom table's id, composed sequences, sign)
-        # -> the same.  Every table exists before the walk drops any, so the
-        # id of a table still live never names a dropped one.
-        memo: dict = {}
-        stack = [(tree.root, tops)]
+        # (segments, top states, sign) -> lists, children's top states,
+        # the segments by their ids, one id alone where the chain ends in
+        # its top's bag, the common case; on a miss, (bottom table's id,
+        # composed sequences, sign) -> the same.  Segments and tables live
+        # until the walk ends.
+        memo = {}
+        stack = [(len(bags) - 1, len(bags[-1].gadget.ops) - 1, tuple(tops))]
         while stack:
-            pn, tops = stack.pop()
-            steps = []                   # (table, live side, arity) per step
-            while not pn.is_leaf():
-                kids = pn.children
-                if len(kids) == 2 and kids[0].nid in live \
-                        and kids[1].nid in live:
-                    break
-                side = 0 if kids[0].nid in live else 1
-                steps.append((live.pop(pn.nid), side, len(kids)))
-                pn = kids[side]
-            table = live.pop(pn.nid)
-            f = pn.feature               # None at a join
-            w = None if f is None else weights.get(f, 0)
-            sign = None if f is None else (w > 0) - (w < 0)
-            memo_key = (tuple((id(t), side) for t, side, _ in steps), id(table),
-                        tuple(tops), sign)
-            if memo_key not in memo:
+            p, i, tops = stack.pop()
+            entry = entries[p]
+            seg = entry[3].get(i) or segment_at(p, i)
+            chain = id(seg)
+            if seg[1] is None:           # the chain goes on into a child's bag
+                segs = [seg]
+                while seg[1] is None:
+                    p = bags[p].kids[seg[2]]
+                    entry = entries[p]
+                    seg = segment_at(p, len(bags[p].gadget.ops) - 1)
+                    segs.append(seg)
+                chain = tuple(map(id, segs))
+            bag, j = bags[p], seg[1]
+            table = entry[1][j]
+            feat = bag.gadget.features[j]   # None at a join
+            if feat is None:
+                f = sign = None
+            else:
+                f = FeatureId(feat[0],
+                              (bag.eids if feat[0] else bag.verts)[feat[1]])
+                w = weights.get(f, 0)
+                sign = (w > 0) - (w < 0)
+            memo_key = (chain, tops, sign)
+            hit = memo.get(memo_key)
+            if hit is None:
                 seqs = [[q] for q in tops]
-                for t, side, arity in steps:
-                    seqs = [[x for q in seq for x in t[q][side::arity]]
-                            for seq in seqs]
+                for s in segs if type(chain) is tuple else (seg,):
+                    for t, side, arity in s[0]:
+                        seqs = [[x for q in seq for x in t[q][side::arity]]
+                                for seq in seqs]
                 seq_key = (id(table), tuple(map(tuple, seqs)), sign)
-                if seq_key not in memo:
+                hit = memo.get(seq_key)
+                if hit is None:
                     ids1, ids2 = {}, {}
                     # A leaf: stably by value, so ties keep sequence order,
                     # and within a state the empty set first, as a state's
@@ -307,19 +395,26 @@ class Evaluator:
                     if self.decomp_ids:  # until the first repeat
                         self.decomp_ids = (len(set().union(*lists))
                                            == sum(map(len, lists)))
-                    memo[seq_key] = lists, list(ids1), list(ids2)
-                memo[memo_key] = memo[seq_key]
-            lists, tops1, tops2 = memo[memo_key]
+                    if f is not None:    # each state's flags as a FORMS index
+                        lists = [FORMS.index(flags) for flags in lists]
+                    hit = memo[seq_key] = lists, tuple(ids1), tuple(ids2)
+                memo[memo_key] = hit
+            lists, tops1, tops2 = hit
             feature.append(f)
             joins.append(f is None)
             if f is None:
                 relevant.append(lists)
-                stack.append((pn.children[1], tops2))
-                stack.append((pn.children[0], tops1))
-            else:                        # flag False: without the feature
-                forms = {(False,): (None,), (True,): (f,),
-                         (False, True): (None, f), (True, False): (f, None)}
-                relevant.append([forms[flags] for flags in lists])
+                c1, c2 = bag.gadget.children[j]
+                for c, kid_tops in ((c2, tops2), (c1, tops1)):
+                    if c >= 0:
+                        stack.append((p, c, kid_tops))
+                    else:
+                        k = bag.kids[-1 - c]
+                        stack.append((k, len(bags[k].gadget.ops) - 1,
+                                      kid_tops))
+            else:                        # as FORMS, with f for True
+                relevant.append(list(map(
+                    (WITHOUT, (f,), (None, f), (f, None)).__getitem__, lists)))
         self.feature, self.relevant = feature, relevant
         return joins
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import heapq
+from time import perf_counter
 
 from .core import FeatureId, WeightedGraph, check_int64
 from .treedec import TreeDecomposition, balance, heuristic_decomposition
@@ -30,25 +31,39 @@ DIRECT_K_LIMIT = 64
 
 
 class RunStats:
-    """Counters of one ``k_best`` run."""
+    """Counters of one ``k_best`` run, and the seconds of each of its
+    stages (``STAGES``): the min-fill heuristic (0 when a decomposition is
+    given), balancing, the parse tree, the initial evaluation, and the
+    enumeration loop."""
 
     __slots__ = ("expansions", "max_copies", "exhausted_after", "infeasible",
-                 "tree_depth", "max_order", "state_count")
+                 "tree_depth", "max_order", "state_count", "stage_s")
+    STAGES = ("decompose", "balance", "parse", "build", "loop")
 
     def __init__(self):
         self.expansions = self.max_copies = 0
         self.exhausted_after: int | None = None
         self.infeasible = False
         self.tree_depth = self.max_order = self.state_count = 0
+        self.stage_s = dict.fromkeys(self.STAGES, 0.0)
 
 
 def prepare(g: WeightedGraph, problem: str, s: int | None = None,
-            t: int | None = None, td: TreeDecomposition | None = None):
-    """Build the automaton (it checks the terminals), then the parse tree."""
+            t: int | None = None, td: TreeDecomposition | None = None,
+            stats: RunStats | None = None):
+    """Build the automaton (it checks the terminals), then the parse tree;
+    time its stages into stats if given."""
     automaton = builtin(problem, g, s, t)
+    t0 = perf_counter()
     if td is None:
         td = heuristic_decomposition(g)
-    tree = build_parse_tree(balance(td, g), g)
+    t1 = perf_counter()
+    sd = balance(td, g)
+    t2 = perf_counter()
+    tree = build_parse_tree(sd, g)
+    if stats is not None:
+        stats.stage_s.update(decompose=t1 - t0, balance=t2 - t1,
+                             parse=perf_counter() - t2)
     return tree, automaton
 
 
@@ -78,10 +93,13 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
     if k < 1:
         raise ValueError("k must be positive")
     stats = RunStats() if stats is None else stats
-    tree, automaton = prepare(g, problem, s, t, td)
+    tree, automaton = prepare(g, problem, s, t, td, stats)
     stats.tree_depth = tree.depth
     stats.max_order = tree.max_order
+    t0 = perf_counter()
     v0 = initial_version(tree, automaton)
+    t1 = perf_counter()
+    stats.stage_s["build"] = t1 - t0
     del tree                             # the enumeration reads only v0
     stats.state_count = sum(map(len, v0.evaluator.relevant))
     first, second = best_pair(v0)
@@ -117,6 +135,7 @@ def k_best(g: WeightedGraph, problem: str, k: int, s: int | None = None,
         stats.expansions += 1
     if len(out) < k:
         stats.exhausted_after = len(out)
+    stats.stage_s["loop"] = perf_counter() - t1
     return out
 
 

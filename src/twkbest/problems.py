@@ -45,6 +45,9 @@ class EvalAutomaton:
     """Interface shared by the built-in automata; one set variable each."""
 
     kind: str            # VERTEX or EDGE: the type of the set variable
+    # vertex -> its flag in a proj signature, for the vertices whose flag is
+    # not "-"; a node's signature reads no other property of a vertex
+    flags: dict = {}
 
     def root_state(self):
         raise NotImplementedError
@@ -63,13 +66,11 @@ class EvalAutomaton:
             old = node.children[0].srcs
             kept = set(alpha)
             dropped = tuple(
-                (p, self._flag(old[p])) for p in range(len(old)) if p not in kept
+                (p, self.flags.get(old[p], "-"))
+                for p in range(len(old)) if p not in kept
             )
             return ("proj", alpha, dropped)
         raise ValueError(f"not an inner operator: {node.op}")
-
-    def _flag(self, v: int) -> str:
-        return "-"
 
     def delta(self, sig, q1, q2=None):
         """Output state for the child states: q1 alone under the one-child
@@ -113,20 +114,12 @@ class SimplePathAutomaton(EvalAutomaton):
     kind = EDGE
 
     def __init__(self, s: int, t: int, directed: bool):
-        self.s = s
-        self.t = t
+        self.flags = {s: "S", t: "T"}
         # the pair label of each terminal's end; it also labels an edge leaf
         self.end = {"S": "s", "T": "t"} if directed else {"S": "p", "T": "p"}
 
     def root_state(self):
         return ((), 1)
-
-    def _flag(self, v: int) -> str:
-        if v == self.s:
-            return "S"
-        if v == self.t:
-            return "T"
-        return "-"
 
     @staticmethod
     def _open(x):

@@ -36,7 +36,8 @@ def test_single_edge_leaf_semantics():
     t = type("T", (), {})()
     g = make_graph(2, [(1, 2)])
     from twkbest.algebra import ParseTree
-    pt = ParseTree(leaf, [leaf], 0, 2, {edge(1): leaf}, g)
+    # No bags: the expansion, as [root, nodes, introducer], is given.
+    pt = ParseTree([], 1, 0, 2, g, [leaf, [leaf], {edge(1): leaf}])
     h = evaluate_hypergraph(pt)
     assert len(h.verts) == 2
     assert list(h.hyperedges) == [edge(1)]

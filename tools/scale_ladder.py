@@ -3,19 +3,23 @@
 Usage, from the root of a twkbest checkout:
 
   python3 tools/scale_ladder.py --label NAME [--sizes 1024 4096 16384 65536]
-                                [--k 1000] [--out FILE]
+                                [--k 1000] [--seed 5] [--values-only]
+                                [--out FILE]
 
 Each rung is the 2 x (n/2) grid strip of the acceptance gate, drawn as
-``perfbench/workloads.family("grid-strip", n, random.Random(5))`` (the
+``perfbench/workloads.family("grid-strip", n, random.Random(seed))`` (the
 same graph as ``_family`` in ``tests/test_acceptance.py``: edge weights
 uniform in 1..50), on its own width-3 chain decomposition, with simple
 paths from vertex 1 to vertex n.
 It runs ``kbest.k_best`` to k values and their solutions under
 ``perfbench/tracing.py``'s tracer and reads the stage times, constrain
-times, copies and tree sizes from it.  Every solution must be distinct, a
-simple 1-n path (``oracle.is_simple_path``) and weigh its value;
-``solutions_checked`` counts those checked, and the first that fails is
-the rung's ``error``.
+times, copies and tree sizes from it; the parse tree's counts are read
+from its bags, which the tracer would expand into parse nodes.  Every
+solution must be distinct, a simple 1-n path (``oracle.is_simple_path``)
+and weigh its value; ``solutions_checked`` counts those checked, and the
+first that fails is the rung's ``error``.  ``--values-only`` asks for the
+values alone and checks no solution.  Criterion 5c's instance is
+``--sizes 100000 --k 10000 --seed 55 --values-only``.
 
 Every rung runs in a fresh Python process whose address space is capped at
 ``MAX_MB``.  A rung whose enumeration runs out of that memory keeps the
@@ -42,13 +46,13 @@ SIZES = (1 << 10, 1 << 12, 1 << 14, 1 << 16)
 MAX_MB = 3072  # address-space cap of each rung's process
 
 
-def grid_strip(n: int):
+def grid_strip(n: int, seed: int):
     """The acceptance gate's grid strip and its chain decomposition."""
     from twkbest.core import WeightedGraph, edge
     from twkbest.treedec import TreeDecomposition
     from workloads import family
 
-    edges, weights, bags = family("grid-strip", n, random.Random(5))
+    edges, weights, bags = family("grid-strip", n, random.Random(seed))
     g = WeightedGraph(n=n, m=len(edges), directed=False, edges=tuple(edges),
                       weights={edge(i): w for i, w in enumerate(weights, 1)})
     td = TreeDecomposition({i: frozenset(b) for i, b in enumerate(bags, 1)},
@@ -77,10 +81,10 @@ def check_solutions(g, results) -> tuple[int, str | None]:
     return len(results), None
 
 
-def rung(n: int, k: int) -> dict:
-    """One rung's figures: ``kbest.k_best`` to k values and solutions under
-    the perfbench tracer, which times the stages and every constrain and
-    counts copies."""
+def rung(n: int, k: int, seed: int, solutions: bool) -> dict:
+    """One rung's figures: ``kbest.k_best`` to k values, and solutions
+    unless told not to, under the perfbench tracer, which times the stages
+    and every constrain and counts copies."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from twkbest import kbest
     from tracing import Tracer, installed
@@ -88,17 +92,22 @@ def rung(n: int, k: int) -> dict:
     class RungTracer(Tracer):
         rss_built = 0.0
 
+        def _parsed(self, tree, *_):
+            self.counts["algebra.nodes"] = tree.size
+            self.counts["algebra.depth"] = tree.depth
+            self.counts["algebra.max_order"] = tree.max_order
+
         def _evaluated(self, version, *args):
             super()._evaluated(version, *args)
             self.rss_built = peak_rss_mb()
 
-    g, td = grid_strip(n)
+    g, td = grid_strip(n, seed)
     tracer = RungTracer()
     results = error = None
     try:
         with installed(tracer):
             results = kbest.k_best(g, "simple-path", k, 1, n,
-                                   want_solutions=True, td=td)
+                                   want_solutions=solutions, td=td)
     except MemoryError:
         begun = sum(1 for span in tracer.spans
                     if span and span[0] == "persist.pivot_query")
@@ -112,6 +121,7 @@ def rung(n: int, k: int) -> dict:
     figures = {
         "n": n,
         "k": k,
+        "seed": seed,
         "width": counts.get("treedec.width"),
         "balanced_depth": counts.get("treedec.depth"),
         "parse_depth": counts.get("algebra.depth"),
@@ -132,20 +142,23 @@ def rung(n: int, k: int) -> dict:
     if results is not None:
         values = [v for v, _ in results]
         figures["values_sha256"] = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
-        figures["solutions_checked"], error = check_solutions(g, results)
+        if solutions:
+            figures["solutions_checked"], error = check_solutions(g, results)
     if error:
         figures["error"] = error
     return figures
 
 
-def run_rung(n: int, k: int) -> dict:
+def run_rung(n: int, k: int, seed: int, solutions: bool) -> dict:
     """Run one rung in a child process under an address-space cap."""
     def cap():
         limit = MAX_MB * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run([sys.executable, os.path.abspath(__file__),
-                           "--rung", str(n), "--k", str(k)],
+                           "--rung", str(n), "--k", str(k),
+                           "--seed", str(seed)]
+                          + ([] if solutions else ["--values-only"]),
                           capture_output=True, text=True, preexec_fn=cap)
     if proc.returncode == 0:
         return json.loads(proc.stdout.splitlines()[-1])
@@ -177,17 +190,22 @@ def main(argv=None) -> int:
     ap.add_argument("--label")
     ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     ap.add_argument("--k", type=int, default=1000)
+    ap.add_argument("--seed", type=int, default=5,
+                    help="seed of the strip's weights (criterion 5c: 55)")
+    ap.add_argument("--values-only", action="store_true",
+                    help="ask for values alone; check no solution")
     ap.add_argument("--out")
     ap.add_argument("--rung", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.rung is not None:
-        print(json.dumps(rung(args.rung, args.k)))
+        print(json.dumps(rung(args.rung, args.k, args.seed,
+                              not args.values_only)))
         return 0
     if args.label is None and args.out is None:
         ap.error("give --label or --out")
     rungs = []
     for n in args.sizes:
-        rungs.append(run_rung(n, args.k))
+        rungs.append(run_rung(n, args.k, args.seed, not args.values_only))
         print(json.dumps(rungs[-1]), flush=True)
     result = {
         "label": args.label,
