@@ -57,12 +57,12 @@ class Gadget:
     it shares with its parent bag, its children's interfaces and its edges
     in edge order, all as ranks in the bag's sorted vertices.
 
-    Per node: ``ops``, its op; ``children``, each a node of the gadget
-    (j >= 0) or the fragment of the bag's s-th child with one (-1 - s);
-    ``srcs``, its sources as ranks; ``features``, at a leaf (FeatureId
-    rank, index), the index into the bag's edges or vertices, else None.
-    ``kid_srcs`` are the children's interfaces.  ``out`` is the bag's
-    fragment: its last node, a child's (-1 - s), or None if it has no
+    Node j is index j of each tuple: ``ops``, its op; ``children``, each a
+    node of the gadget (j >= 0) or the fragment of the bag's s-th child
+    (-1 - s); ``srcs``, its sources as ranks; ``features``, at a leaf
+    (FeatureId rank, index), the index into the bag's edges or vertices,
+    else None.  ``kid_srcs`` are the children's interfaces.  ``out`` is the
+    bag's fragment: its last node, a child's (-1 - s), or None if it has no
     parts.  The fragment's height is ``base`` (its height over the bag's
     own leaves, -1 if none) or a child's height plus its ``dist`` to it,
     whichever is larger; ``order`` is the largest order of the nodes, and
@@ -71,32 +71,28 @@ class Gadget:
     __slots__ = ("ops", "children", "srcs", "features", "kid_srcs", "out",
                  "base", "dist", "order", "leaves")
 
-    def __init__(self, nodes: list[ParseNode], kids: list[ParseNode],
-                 out: ParseNode | None):
-        self.ops = tuple(u.op for u in nodes)
-        self.children = tuple(tuple(c.nid for c in u.children) for u in nodes)
-        self.srcs = tuple(u.srcs for u in nodes)
-        self.features = tuple(u.feature for u in nodes)
-        self.kid_srcs = tuple(k.srcs for k in kids)
-        self.out = None if out is None else out.nid
-        self.order = max(map(len, self.srcs), default=0)
-        self.leaves = len(nodes) - sum(map(bool, self.children))
+    def __init__(self, ops: tuple, children: tuple, srcs: tuple,
+                 features: tuple, kid_srcs: tuple, out: int | None):
+        self.ops, self.children, self.srcs = ops, children, srcs
+        self.features, self.kid_srcs, self.out = features, kid_srcs, out
+        self.order = max(map(len, srcs), default=0)
+        self.leaves = len(ops) - sum(map(bool, children))
         height = []                      # over the bag's own leaves
-        for u in nodes:
-            h = -1 if u.children else 0
-            for c in u.children:
-                if c.nid >= 0 and height[c.nid] >= h:
-                    h = height[c.nid] + 1
+        for refs in children:
+            h = -1 if refs else 0
+            for c in refs:
+                if c >= 0 and height[c] >= h:
+                    h = height[c] + 1
             height.append(h)
-        self.base = height[-1] if nodes else -1
-        below = [0] * len(nodes)         # edges from each node up to out
-        self.dist = [0] * len(kids)
-        for u in reversed(nodes):
-            for c in u.children:
-                if c.nid >= 0:
-                    below[c.nid] = below[u.nid] + 1
+        self.base = height[-1] if ops else -1
+        below = [0] * len(ops)           # edges from each node up to out
+        self.dist = [0] * len(kid_srcs)
+        for j in reversed(range(len(ops))):
+            for c in children[j]:
+                if c >= 0:
+                    below[c] = below[j] + 1
                 else:
-                    self.dist[-1 - c.nid] = below[u.nid] + 1
+                    self.dist[-1 - c] = below[j] + 1
 
 
 class Bag(NamedTuple):
@@ -108,28 +104,21 @@ class Bag(NamedTuple):
     kids: tuple[int, ...]                # per child fragment, the position
                                          # in ParseTree.bags of its bag
 
-    def parse_nodes(self, kid_nodes, base: int = 0) -> list[ParseNode]:
-        """The gadget's nodes for this bag, numbered from base, over the
-        children's fragment nodes."""
-        verts, eids = self.verts, self.eids
-        made: list[ParseNode] = []
-        g = self.gadget
-        for op, refs, srcs, feat in zip(g.ops, g.children, g.srcs,
-                                        g.features):
-            if feat is not None:
-                feat = FeatureId(feat[0], (eids if feat[0] else verts)[feat[1]])
-            made.append(ParseNode(
-                op, tuple([made[c] if c >= 0 else kid_nodes[-1 - c]
-                           for c in refs]),
-                tuple([verts[r] for r in srcs]), feat, base + len(made)))
-        return made
+    def feature(self, j: int) -> FeatureId | None:
+        """The feature that node j of the gadget introduces here, or None."""
+        feat = self.gadget.features[j]
+        if feat is None:
+            return None
+        rank, i = feat
+        return FeatureId(rank, (self.eids if rank else self.verts)[i])
 
 
 class ParseTree(NamedTuple):
     """A parse tree by bags: ``bags`` in postorder, the last making the
     root.  Node i of the bag at position p has nid ``offset + i``, where
     offset counts the nodes of the bags before it.  ``nodes``, ``root`` and
-    ``introducer`` expand it into ``ParseNode``s on first read."""
+    ``introducer`` expand it into ``ParseNode``s on first read; nothing
+    else makes one."""
 
     bags: list[Bag]
     size: int                            # parse nodes
@@ -155,8 +144,14 @@ class ParseTree(NamedTuple):
             nodes: list[ParseNode] = []
             last = []                    # bag position -> its fragment's nid
             for bag in self.bags:
-                nodes += bag.parse_nodes([nodes[last[k]] for k in bag.kids],
-                                         len(nodes))
+                g, verts, base = bag.gadget, bag.verts, len(nodes)
+                kids = [nodes[last[k]] for k in bag.kids]
+                for j, refs in enumerate(g.children):
+                    nodes.append(ParseNode(
+                        g.ops[j], tuple([nodes[base + c] if c >= 0
+                                         else kids[-1 - c] for c in refs]),
+                        tuple([verts[r] for r in g.srcs[j]]), bag.feature(j),
+                        base + j))
                 last.append(len(nodes) - 1)
             introducer = {u.feature: u for u in nodes if u.feature is not None}
             self.expansion[:] = nodes[-1], nodes, introducer
@@ -288,89 +283,100 @@ def _gadget(size: int, shared: tuple, kid_srcs: tuple, edges: tuple,
     spliced in (if it has none yet) and is projected out.  So introducing
     leaves sit low in the gadget and the later joins carry fewer sources.
     """
-    nodes: list[ParseNode] = []
+    node_ops: list[tuple] = []           # per node, as in Gadget
+    children: list[tuple] = []
+    node_srcs: list[tuple] = []
+    features: list = []
     introduced: set[int] = set()         # ranks with an introducing leaf
 
-    def mk(op, children_, srcs, feature=None) -> ParseNode:
-        node = ParseNode(ops.setdefault(op, op), children_, srcs, feature,
-                         len(nodes))
-        nodes.append(node)
-        return node
+    def srcs(x: int) -> tuple:
+        """The sources of node x, or of a child fragment (x < 0)."""
+        return node_srcs[x] if x >= 0 else kid_srcs[-1 - x]
 
-    def vertex_leaf(r: int) -> ParseNode:
+    def mk(op, refs, srcs_, feature=None) -> int:
+        node_ops.append(ops.setdefault(op, op))
+        children.append(refs)
+        node_srcs.append(srcs_)
+        features.append(feature)
+        return len(node_ops) - 1
+
+    def vertex_leaf(r: int) -> int:
         introduced.add(r)
         return mk(("vertex",), (), (r,), (0, r))
 
-    def fuse_duplicates(cur: ParseNode) -> ParseNode:
+    def fuse_duplicates(cur: int) -> int:
         """Fuse each later copy of a source into its first, left to right."""
-        srcs = cur.srcs
-        if len(set(srcs)) == len(srcs):
+        old = now = srcs(cur)
+        if len(set(old)) == len(old):
             return cur
         pos: dict[int, int] = {}         # vertex -> its first copy's position
-        for v in cur.srcs:
+        for v in old:
             if v in pos:
                 j = len(pos)             # the copy's position after the fuses
-                srcs = srcs[:j] + srcs[j + 1:]
-                cur = mk(("fuse", pos[v], j), (cur,), srcs)
+                now = now[:j] + now[j + 1:]
+                cur = mk(("fuse", pos[v], j), (cur,), now)
             else:
                 pos[v] = len(pos)
         return cur
 
-    def project(cur: ParseNode, keep: tuple) -> ParseNode:
+    def project(cur: int, keep: tuple) -> int:
         """Splice in the introducing leaf of each source not in keep that
         still lacks one, then reindex the sources to keep."""
-        if keep == cur.srcs:
+        have = srcs(cur)
+        if keep == have:
             return cur
-        for v in sorted(cur.srcs):
+        for v in sorted(have):
             if v not in keep and v not in introduced:
                 leaf = vertex_leaf(v)
-                cur = mk(("attach", cur.srcs.index(v)), (cur, leaf), cur.srcs)
-        return mk(("proj", tuple(map(cur.srcs.index, keep))), (cur,), keep)
+                cur = mk(("attach", have.index(v)), (cur, leaf), have)
+        return mk(("proj", tuple(map(have.index, keep))), (cur,), keep)
 
-    kids = [ParseNode(None, (), srcs, None, -1 - s)
-            for s, srcs in enumerate(kid_srcs)]
+    kids = [-1 - s for s in range(len(kid_srcs))]
     leaves = []
     for j in range(len(edges) // 2):
         t, h = edges[2 * j], edges[2 * j + 1]
         leaf = mk(edge_op, (), (t, h), (1, j))
         leaves.append(fuse_duplicates(leaf) if t == h else leaf)
-    copies = set().union(*[part.srcs for part in kids + leaves])
+    copies = set().union(*map(srcs, kids + leaves))
     for r in range(size):
         if r not in shared and r not in copies:     # introduced here
             leaves.append(vertex_leaf(r))
 
     # Join one part at a time, fusing shared vertices immediately and
     # forgetting the unshared ones no part left to join holds.
-    parts = _join_order(leaves + kids)
+    parts = _join_order(leaves + kids, srcs)
     last: dict[int, int] = {}            # vertex -> last part holding it
     for i, part in enumerate(parts):
-        for v in part.srcs:
+        for v in srcs(part):
             last[v] = i
     cur = parts[0] if parts else None
     for i in range(1, len(parts)):
-        cur = project(cur, tuple([v for v in cur.srcs
+        cur = project(cur, tuple([v for v in srcs(cur)
                                   if v in shared or last[v] >= i]))
         cur = fuse_duplicates(
-            mk(("join",), (cur, parts[i]), cur.srcs + parts[i].srcs))
+            mk(("join",), (cur, parts[i]), srcs(cur) + srcs(parts[i])))
     if cur is not None:
         # Project to the interface with the parent bag (canonical order);
         # only vertices with a copy in this fragment are passed up.
-        cur = project(cur, tuple(sorted(set(shared).intersection(cur.srcs))))
-    assert not nodes or cur is nodes[-1], "a gadget's fragment is its last node"
-    return Gadget(nodes, kids, cur)
+        cur = project(cur, tuple(sorted(set(shared).intersection(srcs(cur)))))
+    assert not node_ops or cur == len(node_ops) - 1, \
+        "a gadget's fragment is its last node"
+    return Gadget(tuple(node_ops), tuple(children), tuple(node_srcs),
+                  tuple(features), kid_srcs, cur)
 
 
-def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
-    """``parts`` in the order a bag gadget joins them.  Parts on one vertex
-    set go together, in part order; the next set is the one that adds the
-    fewest vertices to those joined so far, then the one sharing the most
-    with them, then the first in part order.  Grouping by set keeps this
-    quadratic in the bag's distinct sets, not in its parallel edges."""
+def _join_order(parts: list[int], srcs) -> list[int]:
+    """``parts``, nodes whose sources are ``srcs(part)``, in the order a
+    bag gadget joins them.  Parts on one vertex set go together, in part
+    order; the next set is the one that adds the fewest vertices to those
+    joined so far, then the one sharing the most with them, then the first
+    in part order.  Grouping by set keeps this quadratic in the bag's
+    distinct sets, not in its parallel edges."""
     if len(parts) < 2:
         return parts
-    by_set: dict[frozenset[int], list[ParseNode]] = {}
+    by_set: dict[frozenset[int], list[int]] = {}
     for p in parts:
-        by_set.setdefault(frozenset(p.srcs), []).append(p)
+        by_set.setdefault(frozenset(srcs(p)), []).append(p)
     sets = list(by_set)
     joined: frozenset[int] = frozenset()
     out = []
@@ -384,106 +390,3 @@ def _join_order(parts: list[ParseNode]) -> list[ParseNode]:
         joined |= best
         out += by_set[best]
     return out + by_set[sets[0]]
-
-
-# --- reference semantics (testing only) -------------------------------------
-
-class Hypergraph(NamedTuple):
-    """Explicit hypergraph value: vertex atoms carry the global vertex id
-    they were created for, so feature-preserving isomorphism is checkable."""
-
-    verts: dict[int, int]                       # atom id -> intended global vertex
-    hyperedges: dict[FeatureId, tuple[str, tuple[int, ...]]]   # edge feature -> (label, atoms)
-    src: tuple[int, ...]                        # atom ids
-
-
-def evaluate_hypergraph(t: ParseTree) -> Hypergraph:
-    """Bottom-up application of the operator semantics; used to test that a
-    parse tree reproduces its input graph."""
-    counter = [0]
-
-    def fresh(gvid: int, verts: dict[int, int]) -> int:
-        counter[0] += 1
-        verts[counter[0]] = gvid
-        return counter[0]
-
-    def fuse_atoms(h: Hypergraph, atoms: list[int]) -> Hypergraph:
-        keep = min(atoms)
-        gvids = {h.verts[a] for a in atoms}
-        if len(gvids) != 1:
-            raise ParseTreeError(f"fusing copies of different vertices {gvids}")
-        remap = {a: keep for a in atoms}
-        verts = {a: v for a, v in h.verts.items() if a == keep or a not in remap}
-        hyperedges = {f: (lab, tuple(remap.get(a, a) for a in vs))
-                      for f, (lab, vs) in h.hyperedges.items()}
-        src = tuple(remap.get(a, a) for a in h.src)
-        return Hypergraph(verts, hyperedges, src)
-
-    def walk(u: ParseNode) -> Hypergraph:
-        op = u.op[0]
-        if op == "vertex":
-            verts: dict[int, int] = {}
-            a = fresh(u.srcs[0], verts)
-            return Hypergraph(verts, {}, (a,))
-        if op == "edge":
-            verts = {}
-            a1 = fresh(u.srcs[0], verts)
-            a2 = fresh(u.srcs[1], verts)
-            if u.feature is None or len(u.srcs) != 2:
-                raise ParseTreeError("edge leaf without feature or wrong order")
-            return Hypergraph(verts, {u.feature: (u.op[1], (a1, a2))}, (a1, a2))
-        if len(u.children) != (1 if op in ("fuse", "proj") else 2):
-            raise ParseTreeError(f"{op} node with {len(u.children)} children")
-        left = walk(u.children[0])
-        if op == "fuse":
-            i, j = u.op[1], u.op[2]
-            fused = fuse_atoms(left, [left.src[i], left.src[j]])
-            return fused._replace(src=fused.src[:j] + fused.src[j + 1:])
-        if op == "proj":
-            return left._replace(src=tuple(left.src[a] for a in u.op[1]))
-        right = walk(u.children[1])
-        if op == "join":
-            verts = dict(left.verts) | dict(right.verts)
-            if len(verts) != len(left.verts) + len(right.verts):
-                raise ParseTreeError("join operands not disjoint")
-            dup = set(left.hyperedges) & set(right.hyperedges)
-            if dup:
-                raise ParseTreeError(f"edge features duplicated: {dup}")
-            return Hypergraph(verts, dict(left.hyperedges) | dict(right.hyperedges),
-                              left.src + right.src)
-        if op == "attach":
-            if right.hyperedges or len(right.src) != 1:
-                raise ParseTreeError("attach right child must be a vertex leaf")
-            verts = dict(left.verts) | dict(right.verts)
-            merged = Hypergraph(verts, dict(left.hyperedges), left.src + right.src)
-            merged = fuse_atoms(merged, [merged.src[u.op[1]], merged.src[-1]])
-            return merged._replace(src=merged.src[:-1])
-        raise ParseTreeError(f"unknown operator {u.op}")
-
-    h = walk(t.root)
-    for f, (lab, atoms) in h.hyperedges.items():
-        if len(atoms) != 2:
-            raise ParseTreeError(f"edge {f} arity {len(atoms)} != label order 2")
-    return h
-
-
-def hypergraph_matches_graph(h: Hypergraph, g: WeightedGraph) -> bool:
-    """Feature-id-preserving isomorphism between an evaluated hypergraph and
-    the input graph (identity on edge indices, vertex-tag bijection)."""
-    if h.src:
-        return False
-    tags = sorted(h.verts.values())
-    if tags != list(range(1, g.n + 1)):
-        return False
-    if sorted(f.index for f in h.hyperedges) != list(range(1, g.m + 1)):
-        return False
-    for f, (lab, (a1, a2)) in h.hyperedges.items():
-        t, hd = g.edges[f.index - 1]
-        got = (h.verts[a1], h.verts[a2])
-        if g.directed:
-            if got != (t, hd):
-                return False
-        else:
-            if got not in ((t, hd), (hd, t)):
-                return False
-    return True

@@ -23,15 +23,15 @@ reports.
 """
 from __future__ import annotations
 
-from .core import FeatureId
-from .algebra import ParseNode, ParseTree
+from .core import EDGE, FeatureId
+from .algebra import ParseTree
 from .problems import EvalAutomaton, state_key
 
 INF = float("inf")
-# A leaf state's flags, one per entry, True where the entry is the feature
+# A leaf state's bits, one per entry, True where the entry is the feature
 # and False where it is None: a state lists at most these two entries.
 FORMS = ((False,), (True,), (False, True), (True, False))
-WITHOUT = (None,)                        # the entries of flags (False,)
+WITHOUT = (None,)                        # the entries of bits (False,)
 
 
 class TopKStructure:
@@ -143,7 +143,8 @@ class Evaluator:
         each, keyed by the bag's gadget, the automaton's ``flags`` on its
         vertices (all a proj signature reads of a vertex) and its children's
         fragment summaries (realizable set, live).  Only on a miss does it
-        make the gadget's parse nodes for that bag and take them one by one.
+        take the gadget's nodes one by one, reading each node's op, its
+        first child's sources and, at a leaf, its feature's kind.
         Each distinct state is interned once as an int with its
         ``state_key``; a node's table maps those ints to its fitting child
         states, flat: pairs a1, b1, a2, b2, ... under a two-child node (a,
@@ -158,11 +159,11 @@ class Evaluator:
         fragment's summary and its live nodes' tables, shared by every bag
         with its key.
 
-        Leaves go by shape, (op, live): by ``EvalAutomaton.leaf_table``'s
-        contract a leaf's table depends only on its op and feature and names
-        no other feature, so one call per shape gives the table all its
-        leaves share: per state, one flag per feature set, True for
-        {feature}, sorted (the empty set first).
+        Leaves go by shape, (op, live): ``EvalAutomaton.leaf_table`` reads
+        only the op, so one call per shape gives the table all its leaves
+        share, and the table cannot name a feature, as it never sees one:
+        per state, its membership bits, False first, True where the leaf
+        takes its feature.
 
         Top-down, the walk visits chain tops: the root and the children of
         joins with two live sides.  The root state gets id 0.  From a top's
@@ -175,17 +176,18 @@ class Evaluator:
         numbers the children's states.  As repeats add no new states, first
         appearance in the sequence is first use at every node of the chain.
         A leaf's order depends on its weight only through the sign, so its
-        lists are memoized as flags, which each leaf maps one to one to None
-        or its feature: checks on flags are checks on entries.  A leaf
+        lists are memoized as bits, which each leaf maps one to one to None
+        or its feature: checks on bits are checks on entries.  A leaf
         introduces one feature, so a state has at most these two entries,
-        and its flags are one of ``FORMS``, kept as their index there.
+        and its bits are one of ``FORMS``, kept as their index there.
         A chain is walked a segment per bag, each segment made once per
         (bag entry, node).  A (segments, top states, sign) memo hit shares
         the lists and the children's states.  Only on a miss does it try a
         second key, (bottom table, composed sequences, sign), of which the
         lists are a function: chains of different tables can compose to the
         same sequences."""
-        automaton, kind = self.automaton, self.automaton.kind
+        automaton = self.automaton
+        live_rank = int(automaton.kind == EDGE)  # its kind's FeatureId rank
         sid: dict = {}                   # state -> its int
         states: list = []                # int -> state
         keys: list = []                  # int -> state_key
@@ -200,7 +202,7 @@ class Evaluator:
             return i
 
         pair_memo: dict = {}
-        shapes: dict = {}                # (op, live) -> flags table,
+        shapes: dict = {}                # (op, live) -> bits table,
                                          # realizable
         summaries: list = []             # id -> (realizable ints, live)
         summary_id: dict = {}
@@ -212,38 +214,28 @@ class Evaluator:
             the walk meets them."""
             gad = bag.gadget
             verts = bag.verts
-            stand_ins = [ParseNode(None, (), tuple([verts[r] for r in srcs]))
-                         for srcs in gad.kid_srcs]
             real, live, tables, sides = [], [], [], []
-            for pn, refs in zip(bag.parse_nodes(stand_ins), gad.children):
+            for op, refs, feat in zip(gad.ops, gad.children, gad.features):
                 side = -1
                 if not refs:
-                    f = pn.feature
-                    is_live = f.kind == kind
-                    shape = shapes.get((pn.op, is_live))
+                    is_live = feat[0] == live_rank
+                    shape = shapes.get((op, is_live))
                     if shape is None:
-                        leaf = automaton.leaf_table(pn)
-                        if is_live:
-                            taken = frozenset((f,))
-                            assert all(sols and all(fs == taken or not fs
-                                                    for fs in sols)
-                                       for sols in leaf.values()), \
-                                f"leaf {f}: a state lists no set, or a " \
-                                f"feature not its own"
-                        else:
-                            assert all(s == [frozenset()]
-                                       for s in leaf.values()), \
-                                f"constant leaf {f} denotes a nonempty " \
-                                f"solution"
-                        table = {intern(q): tuple(sorted(map(bool, sols)))
-                                 for q, sols in leaf.items()}
-                        shape = shapes[pn.op, is_live] = \
+                        leaf = automaton.leaf_table(op)
+                        assert is_live or all(
+                            bits == (False,) for bits in leaf.values()), \
+                            f"constant leaf {op} denotes a nonempty solution"
+                        table = {intern(q): bits for q, bits in leaf.items()}
+                        shape = shapes[op, is_live] = \
                             table, tuple(sorted(table, key=order))
                     table, r = shape
                 else:
                     kids = [(real[c], live[c]) if c >= 0
                             else summaries[kid_ids[-1 - c]] for c in refs]
-                    sig = automaton.signature(pn)
+                    c = refs[0]
+                    sig = automaton.signature(op, tuple([
+                        verts[x] for x in (gad.srcs[c] if c >= 0
+                                           else gad.kid_srcs[-1 - c])]))
                     memo_key = (sig, *[k[0] for k in kids])
                     if memo_key not in pair_memo:
                         pairs: dict = {}
@@ -269,7 +261,7 @@ class Evaluator:
                     if not is_live:
                         arity = len(refs)
                         assert all(len(p) == arity for p in table.values()), \
-                            f"constant node {pn.op} denotes the empty " \
+                            f"constant node {op} denotes the empty " \
                             f"set twice"
                     elif sides_live.count(True) == 1:
                         side = sides_live.index(True)
@@ -355,12 +347,10 @@ class Evaluator:
                 chain = tuple(map(id, segs))
             bag, j = bags[p], seg[1]
             table = entry[1][j]
-            feat = bag.gadget.features[j]   # None at a join
-            if feat is None:
-                f = sign = None
+            f = bag.feature(j)           # None at a join
+            if f is None:
+                sign = None
             else:
-                f = FeatureId(feat[0],
-                              (bag.eids if feat[0] else bag.verts)[feat[1]])
                 w = weights.get(f, 0)
                 sign = (w > 0) - (w < 0)
             memo_key = (chain, tops, sign)
@@ -377,7 +367,7 @@ class Evaluator:
                     ids1, ids2 = {}, {}
                     # A leaf: stably by value, so ties keep sequence order,
                     # and within a state the empty set first, as a state's
-                    # flags are sorted.
+                    # bits are sorted.
                     if f is not None:
                         lists = [tuple(sorted(
                                      [x for q in seq for x in table[q]],
@@ -395,8 +385,8 @@ class Evaluator:
                     if self.decomp_ids:  # until the first repeat
                         self.decomp_ids = (len(set().union(*lists))
                                            == sum(map(len, lists)))
-                    if f is not None:    # each state's flags as a FORMS index
-                        lists = [FORMS.index(flags) for flags in lists]
+                    if f is not None:    # each state's bits as a FORMS index
+                        lists = [FORMS.index(bits) for bits in lists]
                     hit = memo[seq_key] = lists, tuple(ids1), tuple(ids2)
                 memo[memo_key] = hit
             lists, tops1, tops2 = hit

@@ -41,10 +41,6 @@ class Version(NamedTuple):
     root: EvalNode
     copied_nodes: int = 0      # nodes allocated to create this version
 
-    @property
-    def automaton(self) -> EvalAutomaton:
-        return self.evaluator.automaton
-
 
 class PivotReport(NamedTuple):
     feature: FeatureId

@@ -3,10 +3,13 @@
 An automaton assigns to every parse node a finite set of states.  A state
 summarizes everything about a partial solution (over the features introduced
 in the node's subtree) that the rest of the graph can observe through the
-node's sources.  Inner nodes combine child states through ``delta``, and
-leaves list their feature sets per state in ``leaf_table``; the evaluation
-module calls ``delta`` only at build, once per candidate of each
-distinct subproblem, and ``leaf_table`` once per leaf shape.
+node's sources.  As in the paper's parse tree, a leaf holds one element, and
+the set variable either holds it or not: ``leaf_table`` lists, per state,
+those membership bits.  Inner nodes combine child states through ``delta``,
+under a ``signature`` read from the node's op and its first child's
+sources.  The automata never see a parse node, and no table names a
+feature.  The evaluation module calls ``delta`` only at build, once per
+candidate of each distinct subproblem, and ``leaf_table`` once per leaf op.
 
 State spaces:
 
@@ -29,7 +32,6 @@ from __future__ import annotations
 import functools
 
 from .core import EDGE, VERTEX, WeightedGraph
-from .algebra import ParseNode
 
 BUILTIN_PROBLEMS = ("simple-path", "spanning-tree", "perfect-matching", "vertex-cover")
 
@@ -52,25 +54,22 @@ class EvalAutomaton:
     def root_state(self):
         raise NotImplementedError
 
-    def signature(self, node: ParseNode):
-        """Hashable operator signature carrying everything delta needs."""
-        op = node.op[0]
-        if op == "join":
-            return ("join",)
-        if op == "fuse":
-            return ("fuse", node.op[1], node.op[2])
-        if op == "attach":
-            return ("attach", node.op[1])
-        if op == "proj":
-            alpha = node.op[1]
-            old = node.children[0].srcs
+    def signature(self, op: tuple, child_srcs: tuple):
+        """Hashable operator signature carrying everything delta needs, for
+        an inner node's op whose first child has the sources child_srcs
+        (global vertex ids): the op itself, and for ``proj`` each dropped
+        position with its vertex's flag as well."""
+        if op[0] == "proj":
+            alpha = op[1]
             kept = set(alpha)
             dropped = tuple(
-                (p, self.flags.get(old[p], "-"))
-                for p in range(len(old)) if p not in kept
+                (p, self.flags.get(v, "-"))
+                for p, v in enumerate(child_srcs) if p not in kept
             )
             return ("proj", alpha, dropped)
-        raise ValueError(f"not an inner operator: {node.op}")
+        if op[0] in ("join", "fuse", "attach"):
+            return op
+        raise ValueError(f"not an inner operator: {op}")
 
     def delta(self, sig, q1, q2=None):
         """Output state for the child states: q1 alone under the one-child
@@ -78,12 +77,12 @@ class EvalAutomaton:
         if they do not fit."""
         raise NotImplementedError
 
-    def leaf_table(self, node: ParseNode) -> dict:
-        """state -> nonempty list of feature sets denoted by this leaf in
-        that state.  The table depends only on the leaf's op and its
-        feature, and names no feature but its own: each set is empty or
-        {node.feature}.  The evaluator relies on this to ask once per leaf
-        shape and rename the feature for the other leaves."""
+    def leaf_table(self, op: tuple) -> dict:
+        """state -> the leaf's membership bits in that state, for a leaf
+        with this op: a nonempty tuple of distinct bools, False first,
+        where True means the set variable holds the leaf's element.  A
+        leaf whose element is not of the automaton's ``kind`` lists only
+        (False,) in each state."""
         raise NotImplementedError
 
 
@@ -214,16 +213,13 @@ class SimplePathAutomaton(EvalAutomaton):
         pos_new = {a: k for k, a in enumerate(alpha)}
         return self._prune(_renumber([slots[a] for a in alpha], pos_new), c)
 
-    def leaf_table(self, node: ParseNode):
-        op = node.op[0]
-        empty = frozenset()
-        if op == "vertex":
-            return {((0,), 0): [empty]}
-        if op == "edge":
-            e = node.feature
+    def leaf_table(self, op):
+        if op[0] == "vertex":
+            return {((0,), 0): (False,)}
+        if op[0] == "edge":
             taken = (((self.end["S"], 1), (self.end["T"], 0)), 0)
-            return {((0, 0), 0): [empty], taken: [frozenset({e})]}
-        raise ValueError(f"not a leaf: {node.op}")
+            return {((0, 0), 0): (False,), taken: (True,)}
+        raise ValueError(f"not a leaf: {op}")
 
 
 class SpanningTreeAutomaton(EvalAutomaton):
@@ -274,15 +270,12 @@ class SpanningTreeAutomaton(EvalAutomaton):
             return self._canon(out)
         return None
 
-    def leaf_table(self, node: ParseNode):
-        op = node.op[0]
-        empty = frozenset()
-        if op == "vertex":
-            return {((0,),): [empty]}
-        if op == "edge":
-            e = node.feature
-            return {((0,), (1,)): [empty], ((0, 1),): [frozenset({e})]}
-        raise ValueError(f"not a leaf: {node.op}")
+    def leaf_table(self, op):
+        if op[0] == "vertex":
+            return {((0,),): (False,)}
+        if op[0] == "edge":
+            return {((0,), (1,)): (False,), ((0, 1),): (True,)}
+        raise ValueError(f"not a leaf: {op}")
 
 
 class PerfectMatchingAutomaton(EvalAutomaton):
@@ -313,15 +306,12 @@ class PerfectMatchingAutomaton(EvalAutomaton):
             return tuple(q1[a] for a in alpha)
         return None
 
-    def leaf_table(self, node: ParseNode):
-        op = node.op[0]
-        empty = frozenset()
-        if op == "vertex":
-            return {(0,): [empty]}
-        if op == "edge":
-            e = node.feature
-            return {(0, 0): [empty], (1, 1): [frozenset({e})]}
-        raise ValueError(f"not a leaf: {node.op}")
+    def leaf_table(self, op):
+        if op[0] == "vertex":
+            return {(0,): (False,)}
+        if op[0] == "edge":
+            return {(0, 0): (False,), (1, 1): (True,)}
+        raise ValueError(f"not a leaf: {op}")
 
 
 class VertexCoverAutomaton(EvalAutomaton):
@@ -345,15 +335,13 @@ class VertexCoverAutomaton(EvalAutomaton):
             return tuple(q1[a] for a in sig[1])
         return None
 
-    def leaf_table(self, node: ParseNode):
-        op = node.op[0]
-        empty = frozenset()
-        if op == "vertex":
-            return {(0,): [empty], (1,): [frozenset({node.feature})]}
-        if op == "edge":
+    def leaf_table(self, op):
+        if op[0] == "vertex":
+            return {(0,): (False,), (1,): (True,)}
+        if op[0] == "edge":
             # at least one endpoint promises to be in the cover
-            return {(0, 1): [empty], (1, 0): [empty], (1, 1): [empty]}
-        raise ValueError(f"not a leaf: {node.op}")
+            return {(0, 1): (False,), (1, 0): (False,), (1, 1): (False,)}
+        raise ValueError(f"not a leaf: {op}")
 
 
 def builtin(problem: str, g: WeightedGraph, s: int | None = None,

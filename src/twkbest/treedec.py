@@ -488,16 +488,3 @@ def _refuse(td: TreeDecomposition, g: WeightedGraph, fault: str):
     if not report.ok:
         raise TreeDecompositionError("cannot balance an invalid decomposition: " + report.violations[0])
     raise TreeDecompositionError(fault)
-
-
-def chain_decomposition(g: WeightedGraph) -> TreeDecomposition:
-    """Bags {i, i+1} along vertex order; valid for path-like vertex numberings.
-
-    Used by scale tests to sidestep the quadratic min-fill heuristic on large
-    structured instances.
-    """
-    if g.n == 1:
-        return TreeDecomposition({1: frozenset({1})}, set())
-    bags = {i: frozenset({i, i + 1}) for i in range(1, g.n)}
-    edges = {(i, i + 1) for i in range(1, g.n - 1)}
-    return TreeDecomposition(bags, edges)

@@ -17,11 +17,7 @@ import pytest
 
 from twkbest.core import WeightedGraph, edge
 from twkbest.treedec import TreeDecomposition, balance, heuristic_decomposition
-from twkbest.algebra import (
-    build_parse_tree,
-    evaluate_hypergraph,
-    hypergraph_matches_graph,
-)
+from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
 from twkbest.evaluation import (
     INF,
@@ -33,6 +29,7 @@ from twkbest.persist import best_pair, constrain, initial_version, pivot_query
 from twkbest.kbest import RunStats, k_best, k_best_direct, prepare
 from twkbest import kbest, oracle
 
+from reference import evaluate_hypergraph, hypergraph_matches_graph
 from test_problems import accumulate
 
 # Pinned constants.

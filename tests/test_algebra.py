@@ -6,16 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twkbest.algebra import (
-    Hypergraph,
-    ParseNode,
-    build_parse_tree,
+from twkbest.algebra import ParseNode, build_parse_tree
+from twkbest.core import WeightedGraph, edge, vertex
+from twkbest.treedec import balance, heuristic_decomposition
+
+from reference import (
+    chain_decomposition,
     evaluate_hypergraph,
     hypergraph_matches_graph,
 )
-from twkbest.core import WeightedGraph, edge, vertex
-from twkbest.treedec import balance, chain_decomposition, heuristic_decomposition
-
 from test_acceptance import _family
 
 

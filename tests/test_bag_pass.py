@@ -54,7 +54,7 @@ def reference_relevant(ev: Evaluator, tree) -> list[bool]:
             is_live = f is not None and f.kind == kind
             shape = shapes.get((pn.op, is_live))
             if shape is None:
-                leaf = automaton.leaf_table(pn)
+                leaf = automaton.leaf_table(pn.op)
                 table = {intern(q): tuple(sorted(map(bool, sols)))
                          for q, sols in leaf.items()}
                 shape = shapes[pn.op, is_live] = \
@@ -65,7 +65,7 @@ def reference_relevant(ev: Evaluator, tree) -> list[bool]:
             continue
         c1 = pn.children[0]
         c2 = pn.children[1] if len(pn.children) == 2 else None
-        sig = automaton.signature(pn)
+        sig = automaton.signature(pn.op, c1.srcs)
         if c2 is None:
             memo_key = (sig, realizable.pop(c1.nid))
         else:

@@ -369,8 +369,9 @@ def test_leaves_by_shape_equal_leaves_one_by_one(problem, kw):
         for eid, f in enumerate(ev.feature):
             if f is None:
                 continue
-            own = {fs for sols in a.leaf_table(t.introducer[f]).values()
-                   for fs in sols}
+            own = {frozenset({f}) if bit else frozenset()
+                   for bits in a.leaf_table(t.introducer[f].op).values()
+                   for bit in bits}
             want = [tuple(sorted(entries,
                                  key=lambda e: g.value(_entry_set(e))))
                     for entries in ev0.relevant[eid]]
@@ -515,10 +516,10 @@ def test_constant_leaf_with_a_solution_is_refused():
     a = builtin("vertex-cover", K3)
     real = a.leaf_table
 
-    def leaky(node):
-        table = real(node)
-        if node.op[0] == "edge":         # constant: vertex cover sets vertices
-            table[(1, 1)] = [frozenset({node.feature})]
+    def leaky(op):
+        table = real(op)
+        if op[0] == "edge":              # constant: vertex cover sets vertices
+            table[(1, 1)] = (True,)
         return table
 
     a.leaf_table = leaky

@@ -12,9 +12,6 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 REFERENCE_ONLY = {
     "merge": "criterion 7 checks the top-k operators against their laws",
     "combine": "criterion 7 checks the top-k operators against their laws",
-    "evaluate_hypergraph": "criterion 6 evaluates parse trees to hypergraphs",
-    "hypergraph_matches_graph": "criterion 6 compares them with the input",
-    "chain_decomposition": "scale tests skip min-fill on long paths",
 }
 
 

@@ -132,9 +132,9 @@ def test_recopies_never_call_the_automaton():
     def refuse(*args):
         raise AssertionError("automaton called after build")
 
-    v0.automaton.delta = refuse
-    v0.automaton.signature = refuse
-    v0.automaton.leaf_table = refuse
+    v0.evaluator.automaton.delta = refuse
+    v0.evaluator.automaton.signature = refuse
+    v0.evaluator.automaton.leaf_table = refuse
     values = [best_pair(v0)[0]]
     frontier = [v0]
     while frontier:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twkbest.core import FeatureId, WeightedGraph, edge, vertex
+from twkbest.core import EDGE, VERTEX, WeightedGraph, edge
 from twkbest.treedec import balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import (
@@ -28,9 +28,11 @@ def accumulate(tree, automaton):
     acc = {}
     for pnode in tree.nodes:
         if pnode.is_leaf():
-            table = {q: list(sols) for q, sols in automaton.leaf_table(pnode).items()}
+            table = {q: [frozenset({pnode.feature}) if bit else frozenset()
+                         for bit in bits]
+                     for q, bits in automaton.leaf_table(pnode.op).items()}
         else:
-            sig = automaton.signature(pnode)
+            sig = automaton.signature(pnode.op, pnode.children[0].srcs)
             a1 = acc[pnode.children[0].nid]
             table = {}
             if len(pnode.children) == 1:     # fuse, proj
@@ -109,10 +111,10 @@ def test_leaf_table_rejects_inner_nodes():
     a = builtin("spanning-tree", K3)
     inner = next(n for n in tree.nodes if not n.is_leaf())
     with pytest.raises(ValueError):
-        a.leaf_table(inner)
+        a.leaf_table(inner.op)
     leaf = next(n for n in tree.nodes if n.is_leaf())
     with pytest.raises(ValueError):
-        a.signature(leaf)
+        a.signature(leaf.op, ())
 
 
 def test_spanning_tree_fuse_merges_blocks():
@@ -142,29 +144,21 @@ def test_small_graph_sweep(problem):
             check_against_oracle(g, problem)
 
 
-def _renamed(table, old: FeatureId, new: FeatureId) -> dict:
-    return {q: [frozenset(new if f == old else f for f in fs) for fs in sols]
-            for q, sols in table.items()}
-
-
 @pytest.mark.parametrize("problem", BUILTIN_PROBLEMS)
-def test_a_leaf_table_is_its_shapes_with_the_feature_renamed(problem):
-    """``leaf_table``'s contract, which lets the evaluator ask once per
-    leaf shape (op, live): every leaf's table equals the first table of
-    its shape with that leaf's feature renamed to its own, and names no
-    feature but its own."""
-    rng = random.Random(f"leaf contract {problem}")
-    for _ in range(25):
-        n, m = rng.randint(2, 6), rng.randint(1, 8)
-        g = make_graph(n, [(rng.randint(1, n), rng.randint(1, n))
-                           for _ in range(m)], rng.random() < 0.4)
-        a = builtin(problem, g, *((1, n) if problem == "simple-path" else ()))
-        tree = build_parse_tree(balance(heuristic_decomposition(g), g), g)
-        first = {}
-        for node in (u for u in tree.nodes if u.is_leaf()):
-            table = a.leaf_table(node)
-            assert all(fs <= {node.feature}
-                       for sols in table.values() for fs in sols)
-            shape = (node.op, node.feature.kind == a.kind)
-            f0, table0 = first.setdefault(shape, (node.feature, table))
-            assert table == _renamed(table0, f0, node.feature)
+def test_a_leaf_table_lists_membership_bits(problem):
+    """``leaf_table``'s contract, for both leaf ops and both edge labels:
+    each state lists a nonempty tuple of distinct bools, False first, and a
+    leaf whose element is not of the automaton's kind lists only (False,)."""
+    for directed in (False, True):
+        g = make_graph(2, [(1, 2)], directed)
+        a = builtin(problem, g, *((1, 2) if problem == "simple-path" else ()))
+        label = "fwd" if directed else "undir"
+        for op, kind in ((("vertex",), VERTEX), (("edge", label), EDGE)):
+            table = a.leaf_table(op)
+            assert table, op
+            for bits in table.values():
+                assert type(bits) is tuple and bits, (op, bits)
+                assert all(type(b) is bool for b in bits), (op, bits)
+                assert list(bits) == sorted(set(bits)), (op, bits)
+                if kind != a.kind:
+                    assert bits == (False,), (op, bits)
