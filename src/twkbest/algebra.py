@@ -26,10 +26,6 @@ from .core import FeatureId, WeightedGraph
 from .treedec import ShallowDecomposition
 
 
-class ParseTreeError(ValueError):
-    pass
-
-
 class ParseNode:
     __slots__ = ("op", "children", "srcs", "feature", "nid")
 
@@ -65,18 +61,16 @@ class Gadget:
     bag's fragment: its last node, a child's (-1 - s), or None if it has no
     parts.  The fragment's height is ``base`` (its height over the bag's
     own leaves, -1 if none) or a child's height plus its ``dist`` to it,
-    whichever is larger; ``order`` is the largest order of the nodes, and
-    ``leaves`` is the number of leaves."""
+    whichever is larger; ``order`` is the largest order of the nodes."""
 
     __slots__ = ("ops", "children", "srcs", "features", "kid_srcs", "out",
-                 "base", "dist", "order", "leaves")
+                 "base", "dist", "order")
 
     def __init__(self, ops: tuple, children: tuple, srcs: tuple,
                  features: tuple, kid_srcs: tuple, out: int | None):
         self.ops, self.children, self.srcs = ops, children, srcs
         self.features, self.kid_srcs, self.out = features, kid_srcs, out
         self.order = max(map(len, srcs), default=0)
-        self.leaves = len(ops) - sum(map(bool, children))
         height = []                      # over the bag's own leaves
         for refs in children:
             h = -1 if refs else 0
@@ -116,30 +110,23 @@ class Bag(NamedTuple):
 class ParseTree(NamedTuple):
     """A parse tree by bags: ``bags`` in postorder, the last making the
     root.  Node i of the bag at position p has nid ``offset + i``, where
-    offset counts the nodes of the bags before it.  ``nodes``, ``root`` and
-    ``introducer`` expand it into ``ParseNode``s on first read; nothing
-    else makes one."""
+    offset counts the nodes of the bags before it.  Reading ``nodes``
+    expands it into ``ParseNode``s, once, and ``root`` is the last of
+    them; nothing else makes one."""
 
     bags: list[Bag]
     size: int                            # parse nodes
     depth: int
     max_order: int
     graph: WeightedGraph
-    expansion: list                      # [root, nodes, introducer] once read
+    expansion: list                      # the nodes, once read
 
     @property
     def root(self) -> ParseNode:
-        return self._expand()[0]
+        return self.nodes[-1]
 
     @property
     def nodes(self) -> list[ParseNode]:  # postorder; nid indexes this list
-        return self._expand()[1]
-
-    @property
-    def introducer(self) -> dict[FeatureId, ParseNode]:
-        return self._expand()[2]
-
-    def _expand(self) -> list:
         if not self.expansion:
             nodes: list[ParseNode] = []
             last = []                    # bag position -> its fragment's nid
@@ -153,8 +140,7 @@ class ParseTree(NamedTuple):
                         tuple([verts[r] for r in g.srcs[j]]), bag.feature(j),
                         base + j))
                 last.append(len(nodes) - 1)
-            introducer = {u.feature: u for u in nodes if u.feature is not None}
-            self.expansion[:] = nodes[-1], nodes, introducer
+            self.expansion[:] = nodes
         return self.expansion
 
 
@@ -165,18 +151,21 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
     fragments and the leaves of edges assigned to this bag, fuse duplicate
     copies of shared vertices, splice in the introducing vertex leaf at the
     vertex's topmost bag, and project down to the interface with the parent
-    bag.  Every edge gets exactly one edge leaf and every vertex exactly one
-    introducing vertex leaf.  A bag with no parts gives no fragment, so no
-    join takes an empty child.  ``sd`` must be valid (``balance`` checks
-    it): then a vertex's topmost bag is the one bag holding it whose parent
-    does not, and an edge's is the deeper of its ends' topmost bags.
+    bag.  A bag with no parts gives no fragment, so no join takes an empty
+    child.
+
+    ``sd`` must be valid; ``balance`` validates its result, and nothing
+    here checks it again.  Then a vertex's topmost bag is the one bag
+    holding it whose parent does not, and an edge's is the deeper of its
+    ends' topmost bags.  So each edge gets one leaf, and each vertex one
+    introducing leaf, at its topmost bag or where it is forgotten; a
+    child's sources are among its parent's vertices, and the root has none.
 
     These decisions read only the bag's shape (see ``Gadget``), so they are
     made once per shape (``_gadget``), and each bag records its gadget, its
     vertices and edges and its children's bags.  The tree's depth, largest
     order and node count come from the gadgets; no ``ParseNode`` is made
-    until ``nodes``, ``root`` or ``introducer`` is read.  Equal op tuples
-    are one object.
+    until ``nodes`` or ``root`` is read.  Equal op tuples are one object.
     """
     bags = sd.bags
     children = sd.children
@@ -192,18 +181,12 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
             parent[c] = b
             order.append(c)
 
-    if len(top_bag) != g.n:
-        missing = [v for v in range(1, g.n + 1) if v not in top_bag]
-        raise ParseTreeError(f"decomposition misses vertices {missing[:5]}")
-
     eids_at: dict[int, list[int]] = {}   # bag -> its edges' indices
     ends_at: dict[int, list[int]] = {}   # bag -> its edges' ends, flat
     for ei, (t, h) in enumerate(g.edges, 1):
         b = top_bag[t]
         if h not in bags[b]:
             b = top_bag[h]
-            if t not in bags[b]:
-                raise ParseTreeError(f"edge e{ei} covered by no bag")
         if b in eids_at:
             eids_at[b].append(ei)
             ends_at[b] += t, h
@@ -224,10 +207,7 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
         verts = tuple(sorted(bags[b]))
         rank = verts.index
         p = parent[b]
-        try:
-            kid_srcs = tuple([tuple(map(rank, srcs)) for _, srcs in kids])
-        except ValueError:
-            raise ParseTreeError(f"bag {b}: stray source vertices") from None
+        kid_srcs = tuple([tuple(map(rank, srcs)) for _, srcs in kids])
         shared = () if p is None else sorted(bags[b] & bags[p])
         shape = (len(verts), tuple(map(rank, shared)), kid_srcs,
                  tuple(map(rank, ends_at.get(b, ()))))
@@ -249,19 +229,9 @@ def build_parse_tree(sd: ShallowDecomposition, g: WeightedGraph) -> ParseTree:
 
     root = visit(sd.root)
     del visit                            # recursive closure: break the cycle
-    if root is None:
-        raise ParseTreeError("the root bag has no fragment")
-    if root[1]:
-        raise ParseTreeError("root fragment still has sources")
     assert root[0] == len(made) - 1, "the last bag makes the root"
-
-    tree = ParseTree(made, sum(len(bag.gadget.ops) for bag in made),
+    return ParseTree(made, sum(len(bag.gadget.ops) for bag in made),
                      height[-1], max(bag.gadget.order for bag in made), g, [])
-    if sum(bag.gadget.leaves for bag in made) != g.n + g.m:
-        for fid in list(g.vertex_features()) + list(g.edge_features()):
-            if fid not in tree.introducer:
-                raise ParseTreeError(f"feature {fid} has no introducing leaf")
-    return tree
 
 
 def _gadget(size: int, shared: tuple, kid_srcs: tuple, edges: tuple,

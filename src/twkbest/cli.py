@@ -127,7 +127,7 @@ def _oracle_values(g, problem, s, t):
     from . import oracle
     try:
         pred, kind = oracle.predicate_for(problem, s, t)
-        if problem == "simple-path" and g.m > 22:
+        if problem == "simple-path":
             ref = oracle.enumerate_paths(g, s, t)
         else:
             ref = oracle.enumerate_sorted(g, pred, kind)

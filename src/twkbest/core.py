@@ -7,7 +7,7 @@ raises :class:`WeightOverflowError` instead of wrapping.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 VERTEX = "v"
 EDGE = "e"
@@ -109,12 +109,6 @@ class WeightedGraph(_Graph):
         """Exact sum of the features' weights; not range-checked, since only
         reported values must fit in 64 bits."""
         return sum(self.weights.get(f, 0) for f in features)
-
-    def vertex_features(self) -> Iterator[FeatureId]:
-        return (vertex(i) for i in range(1, self.n + 1))
-
-    def edge_features(self) -> Iterator[FeatureId]:
-        return (edge(i) for i in range(1, self.m + 1))
 
     def endpoints(self, edge_index: int) -> tuple[int, int]:
         return self.edges[edge_index - 1]

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .core import EDGE, VERTEX, FeatureId, WeightedGraph, edge, vertex
 
-ENUMERATION_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 20
 
 
 class OracleCapExceeded(RuntimeError):
@@ -149,20 +149,13 @@ def predicate_for(problem: str, s: int | None = None, t: int | None = None):
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def enumerate_sorted(
-    g: WeightedGraph,
-    predicate,
-    kind: str,
-    required: frozenset[FeatureId] = frozenset(),
-    forbidden: frozenset[FeatureId] = frozenset(),
-) -> list[tuple[int, frozenset[FeatureId]]]:
-    """All feasible feature sets of the given kind respecting the feature
-    constraints, as (value, set) sorted by value, then by ``sorted(set)``."""
+def enumerate_sorted(g: WeightedGraph, predicate, kind: str,
+                     ) -> list[tuple[int, frozenset[FeatureId]]]:
+    """All feasible feature sets of the given kind, as (value, set) sorted
+    by value, then by ``sorted(set)``."""
     subsets = _edge_subsets(g) if kind == EDGE else _vertex_subsets(g)
     out = []
     for fs in subsets:
-        if not required <= fs or fs & forbidden:
-            continue
         if predicate(g, fs):
             out.append((g.value(fs), fs))
     out.sort(key=lambda p: (p[0], sorted(p[1])))

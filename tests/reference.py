@@ -1,12 +1,22 @@
 """Reference code that only tests read: the operator semantics of the
 hypergraph algebra, to check that a parse tree reproduces its input graph
-(criterion 6), and a chain decomposition for long path-like inputs, where
-the min-fill heuristic is quadratic."""
+(criterion 6), each feature's introducing leaf, and a chain decomposition
+for long path-like inputs, where the min-fill heuristic is quadratic."""
 from typing import NamedTuple
 
-from twkbest.algebra import ParseNode, ParseTree, ParseTreeError
+from twkbest.algebra import ParseNode, ParseTree
 from twkbest.core import FeatureId, WeightedGraph
 from twkbest.treedec import TreeDecomposition
+
+
+class ParseTreeError(ValueError):
+    """A parse tree that the operator semantics cannot evaluate."""
+
+
+def introducer(t: ParseTree) -> dict[FeatureId, ParseNode]:
+    """Each feature's introducing leaf, from the tree's expansion; a
+    feature with two leaves maps to the later one."""
+    return {u.feature: u for u in t.nodes if u.feature is not None}
 
 
 class Hypergraph(NamedTuple):

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from twkbest.core import WeightedGraph, edge
+from twkbest.core import WeightedGraph, edge, vertex
 from twkbest.treedec import TreeDecomposition, balance, heuristic_decomposition
 from twkbest.algebra import build_parse_tree
 from twkbest.problems import builtin
@@ -29,7 +29,7 @@ from twkbest.persist import best_pair, constrain, initial_version, pivot_query
 from twkbest.kbest import RunStats, k_best, k_best_direct, prepare
 from twkbest import kbest, oracle
 
-from reference import evaluate_hypergraph, hypergraph_matches_graph
+from reference import evaluate_hypergraph, hypergraph_matches_graph, introducer
 from test_problems import accumulate
 
 # Pinned constants.
@@ -356,9 +356,11 @@ def test_criterion_6_algebra_soundness(corpus, capsys):
                 tree = build_parse_tree(
                     balance(heuristic_decomposition(g), g), g)
                 assert hypergraph_matches_graph(evaluate_hypergraph(tree), g)
-                feats = set(g.vertex_features()) | set(g.edge_features())
-                assert set(tree.introducer) == feats
-                for fid, leaf in tree.introducer.items():
+                feats = ({vertex(v) for v in range(1, g.n + 1)}
+                         | {edge(i) for i in range(1, g.m + 1)})
+                leaves = introducer(tree)
+                assert set(leaves) == feats
+                for fid, leaf in leaves.items():
                     assert leaf.feature == fid
     report(capsys, label, " (isomorphic reconstruction, unique introducers)")
 

@@ -14,6 +14,7 @@ from reference import (
     chain_decomposition,
     evaluate_hypergraph,
     hypergraph_matches_graph,
+    introducer,
 )
 from test_acceptance import _family
 
@@ -35,8 +36,8 @@ def test_single_edge_leaf_semantics():
     t = type("T", (), {})()
     g = make_graph(2, [(1, 2)])
     from twkbest.algebra import ParseTree
-    # No bags: the expansion, as [root, nodes, introducer], is given.
-    pt = ParseTree([], 1, 0, 2, g, [leaf, [leaf], {edge(1): leaf}])
+    # No bags: the expansion, the tree's nodes, is given.
+    pt = ParseTree([], 1, 0, 2, g, [leaf])
     h = evaluate_hypergraph(pt)
     assert len(h.verts) == 2
     assert list(h.hyperedges) == [edge(1)]
@@ -81,18 +82,19 @@ def test_fullness_and_unique_introducers():
     leaf introduces its vertex, and const0 is only ever a lone root."""
     g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])
     t = tree_for(g)
+    leaves = introducer(t)
     for u in t.nodes:
         assert len(u.children) == ARITY[u.op[0]], u
         if u.op == ("vertex",):
-            assert t.introducer[vertex(u.srcs[0])] is u
+            assert leaves[vertex(u.srcs[0])] is u
         if u.op == ("const0",):
             assert t.nodes == [u]
     feats = [u.feature for u in t.nodes if u.feature is not None]
     assert len(feats) == len(set(feats))
     assert set(feats) == {vertex(v) for v in range(1, 6)} | {edge(i) for i in range(1, 7)}
     for f in feats:
-        assert t.introducer[f].feature == f
-    assert vertex(9) not in t.introducer
+        assert leaves[f].feature == f
+    assert vertex(9) not in leaves
 
 
 def test_root_has_no_sources():

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from twkbest.algebra import build_parse_tree
+from twkbest.core import edge, vertex
 from twkbest.evaluation import Evaluator
 from twkbest.problems import builtin, state_key
 from twkbest.treedec import (
@@ -151,8 +152,9 @@ def reference_relevant(ev: Evaluator, tree) -> list[bool]:
 
 
 def check(g, problem, s, t, td):
-    """The bag pass equals the reference on one input, and the bag form's
-    node count, depth and largest order equal its expansion's."""
+    """The bag pass equals the reference on one input, the bag form's node
+    count, depth and largest order equal its expansion's, and its leaves
+    introduce each vertex and edge once."""
     tree = build_parse_tree(balance(td, g), g)
     a = builtin(problem, g, s, t)
     ev, ref = Evaluator(a), Evaluator(a)
@@ -169,7 +171,9 @@ def check(g, problem, s, t, td):
     assert tree.size == len(tree.nodes) == tree.root.nid + 1
     assert tree.depth == height[tree.root.nid]
     assert tree.max_order == max(len(u.srcs) for u in tree.nodes)
-    assert len(tree.introducer) == g.n + g.m
+    leaves = [u.feature for u in tree.nodes if not u.children]
+    assert sorted(leaves) == ([vertex(v) for v in range(1, g.n + 1)]
+                              + [edge(i) for i in range(1, g.m + 1)])
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)

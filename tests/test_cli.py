@@ -155,15 +155,20 @@ def test_weight_overflow_exits_2(tmp_path, capsys):
 
 
 def test_oracle_check_too_large_exits_2(tmp_path, capsys):
-    p = tmp_path / "path30.gr"
-    p.write_text("p kbest 30 29 0\n"
-                 + "".join(f"e {i} {i + 1} 1\n" for i in range(1, 30)))
-    code, out, err = run(capsys, "solve", "--graph", str(p), "--problem",
-                         "vertex-cover", "-k", "2", "--oracle-check")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    """A 30-vertex path, then the 24-vertex 2 x 12 strip."""
+    rungs = [(2 * i - 1, 2 * i) for i in range(1, 13)]
+    rails = [(v, v + 2) for v in range(1, 23)]
+    for name, n, edges in (("path30", 30, [(i, i + 1) for i in range(1, 30)]),
+                           ("strip2x12", 24, rungs + rails)):
+        p = tmp_path / f"{name}.gr"
+        p.write_text(f"p kbest {n} {len(edges)} 0\n"
+                     + "".join(f"e {a} {b} 1\n" for a, b in edges))
+        code, out, err = run(capsys, "solve", "--graph", str(p), "--problem",
+                             "vertex-cover", "-k", "2", "--oracle-check")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_overflow_of_unreported_candidate_is_ignored(tmp_path, capsys):

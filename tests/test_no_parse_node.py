@@ -1,5 +1,5 @@
 """The engine reads the parse tree by bags and never makes a ``ParseNode``:
-only reading ``ParseTree.nodes``, ``root`` or ``introducer`` does."""
+only reading ``ParseTree.nodes`` or ``root`` does, which tests alone do."""
 import random
 
 from twkbest import algebra
@@ -7,6 +7,7 @@ from twkbest.evaluation import Evaluator
 from twkbest.kbest import k_best, k_best_direct, prepare
 from twkbest.treedec import heuristic_decomposition
 
+from reference import introducer
 from test_acceptance import _family
 from test_crosscheck import PROBLEMS, random_multigraph
 
@@ -52,4 +53,4 @@ def test_the_engine_makes_no_parse_node(monkeypatch):
             trees.append((tree, g))
     for tree, g in trees:
         assert len(tree.nodes) == tree.size
-        assert len(tree.introducer) == g.n + g.m
+        assert len(introducer(tree)) == g.n + g.m

@@ -1,8 +1,11 @@
 """Reference enumeration sanity checks on hand-countable instances."""
+import random
+
 import pytest
 
 from twkbest.core import WeightedGraph, edge, vertex
 from twkbest.oracle import (
+    OracleCapExceeded,
     enumerate_paths,
     enumerate_sorted,
     is_perfect_matching,
@@ -34,8 +37,24 @@ def test_k3_paths():
 
 
 def test_dfs_enumeration_agrees_with_subset_enumeration():
+    """On K3, then on seeded multigraphs with self-loops and parallel
+    edges, in both orientations, for any s and t, s = t included."""
     pred, kind = predicate_for("simple-path", 1, 3)
     assert enumerate_paths(K3, 1, 3) == enumerate_sorted(K3, pred, kind)
+    rng = random.Random("dfs against subsets")
+    for i in range(200):
+        n = rng.randint(1, 6)
+        edges = []
+        for _ in range(rng.randint(0, 10)):
+            if edges and rng.random() < 0.2:
+                edges.append(rng.choice(edges))      # a parallel edge
+            else:
+                edges.append((rng.randint(1, n), rng.randint(1, n)))
+        g = make_graph(n, edges, [rng.randint(-3, 3) for _ in edges],
+                       directed=i % 2 == 1)
+        s, t = rng.randint(1, n), rng.randint(1, n)
+        pred, kind = predicate_for("simple-path", s, t)
+        assert enumerate_paths(g, s, t) == enumerate_sorted(g, pred, kind)
 
 
 def test_directed_path_respects_orientation():
@@ -72,13 +91,14 @@ def test_vertex_cover_on_triangle():
     assert not is_vertex_cover(K3, frozenset({vertex(1)}))
 
 
-def test_constraints_filter():
-    pred, kind = predicate_for("simple-path", 1, 3)
-    only = enumerate_sorted(K3, pred, kind, required=frozenset({edge(1)}))
-    assert [v for v, _ in only] == [4]
-    none = enumerate_sorted(K3, pred, kind, forbidden=frozenset({edge(3)}),
-                            required=frozenset({edge(3)}))
-    assert none == []
+def test_more_than_2_to_the_20_candidates_are_refused_at_once():
+    """21 vertices give 2^21 vertex sets: refused before any is checked."""
+    def unreachable(g, fs):
+        raise AssertionError("a candidate set was checked")
+
+    g = make_graph(21, [(v, v + 1) for v in range(1, 21)])
+    with pytest.raises(OracleCapExceeded):
+        enumerate_sorted(g, unreachable, "v")
 
 
 def test_self_loops_rejected_everywhere():
