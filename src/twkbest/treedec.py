@@ -203,8 +203,10 @@ def save_td(td: TreeDecomposition, n: int | None = None) -> str:
 def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     """Min-fill elimination ordering; valid but not necessarily optimal width.
 
-    Disconnected graphs are handled by the elimination construction directly:
-    component roots are linked through a chain of empty bags.
+    Each step eliminates the vertex with the least (fill, degree, id), its
+    fill being the missing edges among its neighbours.  Disconnected graphs
+    are handled by the elimination construction directly: component roots
+    are linked through a chain of empty bags.
     """
     nbrs: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
     for t, h in g.edges:
@@ -212,67 +214,62 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
             nbrs[t].add(h)
             nbrs[h].add(t)
 
-    def fill_in(v: int) -> int:
-        ns = list(nbrs[v])
-        cnt = 0
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                if ns[j] not in nbrs[ns[i]]:
-                    cnt += 1
-        return cnt
+    def score(v: int) -> tuple[int, int, int]:
+        # Each u in N(v) misses |N(v) - N(u)| - 1 of the others.
+        ns = nbrs[v]
+        return (sum(len(ns - nbrs[u]) for u in ns) - len(ns)) // 2, len(ns), v
 
-    order: list[int] = []
-    elim_bag: dict[int, frozenset[int]] = {}
-    remaining = set(nbrs)
     # Lazy heap: entries may be stale; recompute on pop and re-push until the
-    # popped score is current.  Only vertices near an elimination change score.
-    heap = [(fill_in(v), len(nbrs[v]), v) for v in sorted(nbrs)]
+    # popped score is current.  Only vertices near an elimination change
+    # score.  latest[v], v's newest entry, is in the heap while v is alive,
+    # and a push equal to it is skipped: equal entries pop one after another.
+    latest = {v: score(v) for v in nbrs}
+    heap = list(latest.values())
     heapq.heapify(heap)
-    while remaining:
-        fill, deg, v = heapq.heappop(heap)
-        if v not in remaining:
-            continue
-        cur = (fill_in(v), len(nbrs[v]), v)
-        if cur != (fill, deg, v):
-            heapq.heappush(heap, cur)
-            continue
-        order.append(v)
-        elim_bag[v] = frozenset({v} | nbrs[v])
-        ns = list(nbrs[v])
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                nbrs[ns[i]].add(ns[j])
-                nbrs[ns[j]].add(ns[i])
-        for u in ns:
-            nbrs[u].discard(v)
-        del nbrs[v]
-        remaining.discard(v)
-        for u in ns:
-            heapq.heappush(heap, (fill_in(u), len(nbrs[u]), u))
 
-    elim_index = {v: i for i, v in enumerate(order)}
-    bags = {i + 1: elim_bag[v] for i, v in enumerate(order)}
+    def push(cur: tuple[int, int, int]) -> None:
+        if cur != latest[cur[2]]:
+            latest[cur[2]] = cur
+            heapq.heappush(heap, cur)
+
+    bags: dict[int, frozenset[int]] = {}
+    bag_of: dict[int, int] = {}          # vertex -> its elimination bag
+    while nbrs:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if v not in nbrs:
+            continue
+        cur = score(v)
+        if cur != entry:
+            push(cur)
+            continue
+        ns = nbrs.pop(v)
+        bag_of[v] = len(bags) + 1
+        bags[bag_of[v]] = frozenset(ns | {v})
+        for u in ns:
+            nbrs[u] |= ns
+            nbrs[u] -= {u, v}
+        for u in ns:
+            push(score(u))
+
+    # A bag's parent is the bag of the first of its other vertices eliminated.
     tree_edges: set[tuple[int, int]] = set()
     component_roots: list[int] = []
-    for i, v in enumerate(order):
-        later = [u for u in elim_bag[v] if u != v]
+    for i, bag in bags.items():
+        later = [bag_of[u] for u in bag if bag_of[u] > i]
         if later:
-            parent_vertex = min(later, key=lambda u: elim_index[u])
-            tree_edges.add(tuple(sorted((i + 1, elim_index[parent_vertex] + 1))))
+            tree_edges.add((i, min(later)))
         else:
-            component_roots.append(i + 1)
+            component_roots.append(i)
 
     # Link component roots through a chain of empty bags.
     if len(component_roots) > 1:
-        next_id = len(order) + 1
-        prev = None
-        for r in component_roots:
-            bags[next_id] = frozenset()
-            tree_edges.add(tuple(sorted((next_id, r))))
-            if prev is not None:
-                tree_edges.add(tuple(sorted((prev, next_id))))
-            prev = next_id
-            next_id += 1
+        first = len(bags) + 1
+        for j, r in enumerate(component_roots):
+            bags[first + j] = frozenset()
+            tree_edges.add((r, first + j))
+            if j:
+                tree_edges.add((first + j - 1, first + j))
     return TreeDecomposition(bags, tree_edges)
 
 
@@ -323,10 +320,13 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     Each split makes one walk of its component, rooted at its first mark
     (or any bag), for parent pointers and subtree sizes: the centroid is
     found by walking down into any part larger than half, and the path
-    between two marks by following parent pointers.  The parts left by the
-    split come from a separate search (``components_without``): the
-    iteration order of its sets fixes the order of the children, and so the
-    output's bag ids.
+    between two marks by following parent pointers.  Neither depends on
+    where the walk starts.  The same walk gives the parts left by the
+    split: each bag is labelled with its part's bag next to the split bag,
+    that part's new mark, and the parts are built in order of their
+    smallest bag id.  So the output's bags and child order depend only on
+    the input's bags, its tree edges and the order of its bag ids; the
+    output's ids are numbered on from the largest input id.
 
     ``td`` is not validated up front: the CLI validates a ``--td`` before
     it runs, and a min-fill decomposition is valid by construction.  The
@@ -357,13 +357,10 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     fresh = [max(bags) + 1]
     _binarize(bags, children, root, fresh)
 
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    for u in order:
-        for v in children[u]:
-            parent[v] = u
-            order.append(v)
-    adj = {u: list(children[u]) + ([parent[u]] if parent[u] is not None else []) for u in bags}
+    adj = {u: list(cs) for u, cs in children.items()}   # children, then parent
+    for u, cs in children.items():
+        for v in cs:
+            adj[v].append(u)
 
     out_bags: dict[int, frozenset[int]] = {}
     out_children: dict[int, list[int]] = {}
@@ -375,27 +372,10 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
         out_children[nid] = []
         return nid
 
-    def components_without(nodes: set[int], c: int) -> list[set[int]]:
-        comps = []
-        left = set(nodes)
-        left.discard(c)
-        while left:
-            s = next(iter(left))
-            comp = {s}
-            stk = [s]
-            while stk:
-                u = stk.pop()
-                for w in adj[u]:
-                    if w in left and w not in comp:
-                        comp.add(w)
-                        stk.append(w)
-            comps.append(comp)
-            left -= comp
-        return comps
-
-    def pick_split(nodes: set[int], marks: list[int]) -> int:
+    def pick_split(nodes: set[int], marks: list[int]) -> tuple[int, dict, list[int]]:
         # One walk of the tree induced on `nodes`, rooted at the first mark
-        # (or any node): parent pointers, then subtree sizes bottom-up.
+        # (or any node): parent pointers, then subtree sizes bottom-up.  The
+        # split node is returned with the walk's parent pointers and order.
         start = marks[0] if marks else next(iter(nodes))
         up = {start: None}
         walk = [start]
@@ -418,7 +398,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
                 big = [w for w in adj[u] if w != up[u] and w in nodes
                        and 2 * size[w] >= total]
                 if not big or 2 * size[big[0]] == total:
-                    return min([u] + big)
+                    return min([u] + big), up, walk
                 u = big[0]
         # Split on the path between the two marks: every component of
         # nodes - {c} then holds at most one mark.  Walking from marks[0],
@@ -428,22 +408,29 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
         while path[-1] != start:
             path.append(up[path[-1]])
         path.reverse()
-        for u, nxt in zip(path, path[1:]):
-            if 2 * (total - size[nxt]) >= total:
-                return u
-        return path[-1]
+        c = next((u for u, nxt in zip(path, path[1:])
+                  if 2 * (total - size[nxt]) >= total), path[-1])
+        return c, up, walk
 
     def build(nodes: set[int], marks: dict[int, frozenset[int]]) -> int:
         if len(nodes) == 1:              # its marks' adhesions lie in its bag
             return new_node(bags[next(iter(nodes))])
-        c = pick_split(nodes, sorted(marks))
+        c, up, walk = pick_split(nodes, sorted(marks))
         me = new_node(bags[c].union(*marks.values()))
+        # Label each node of nodes - {c} with its part's node next to c: a
+        # child of c labels itself, any other node its parent's label (the
+        # walk lists parents first), and the walk's root, parent None, up[c].
+        label = {None: up[c]}
+        parts: dict[int, set[int]] = {}
+        for u in walk:
+            if u != c:
+                b = label[u] = u if up[u] == c else label[up[u]]
+                parts.setdefault(b, set()).add(u)
         kids = []
-        for comp in components_without(nodes, c):
-            boundary = next(w for w in adj[c] if w in comp)
-            sub_marks = {m: a for m, a in marks.items() if m in comp}
-            sub_marks[boundary] = sub_marks.get(boundary, frozenset()) | (bags[boundary] & bags[c])
-            kids.append(build(comp, sub_marks))
+        for b, part in sorted(parts.items(), key=lambda bp: min(bp[1])):
+            sub_marks = {m: a for m, a in marks.items() if m in part}
+            sub_marks[b] = sub_marks.get(b, frozenset()) | (bags[b] & bags[c])
+            kids.append(build(part, sub_marks))
         # Binarize the <=3 children under same-bag spacer nodes.
         cur = me
         while len(kids) > 2:
@@ -456,17 +443,10 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> ShallowDecomposition:
     out_root = build(set(bags), {})
     del build                            # recursive closure: break the cycle
 
-    def depth_of(r: int) -> int:
-        best = 0
-        stk = [(r, 0)]
-        while stk:
-            u, d = stk.pop()
-            best = max(best, d)
-            for w in out_children[u]:
-                stk.append((w, d + 1))
-        return best
-
-    depth = depth_of(out_root)
+    depth, level = -1, [out_root]
+    while level:
+        depth += 1
+        level = [w for u in level for w in out_children[u]]
     width = max(len(b) for b in out_bags.values()) - 1
     bound = DEFAULT_C_DEPTH * math.ceil(math.log2(in_bags + 1))
     if depth > bound:

@@ -220,10 +220,10 @@ def _front_end_cases():
 # _front_end_cases, per group.  A change that alters their shape on purpose
 # re-pins these and says why.
 FRONT_END_DIGESTS = {
-    "path": ("fcd9b0f56db94a43", "dba949090fce4edd"),
-    "cycle": ("a983f92cbf460cb7", "a5650faebe70b23c"),
-    "grid-strip": ("eb5d680e5934f921", "e094e0216c9196f0"),
-    "random": ("2efae373cb3b91eb", "2ba143ec191506eb"),
+    "path": ("611cd3b93c21a4b6", "d67f13402c42f9bc"),
+    "cycle": ("3a9e4a88ad343216", "212a93b9c662caad"),
+    "grid-strip": ("f71031beb05a1c88", "f113a328d92c5dca"),
+    "random": ("cc9727a07c78dd06", "08e0a3a36ddc8eac"),
 }
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,10 @@ import pytest
 
 import twkbest.cli
 from twkbest.cli import main
+from twkbest.core import load_graph
+from twkbest.treedec import heuristic_decomposition, save_td
+
+from test_treedec import renumbered
 
 # A file the CLI leaves open fails the test instead of only warning.
 pytestmark = pytest.mark.filterwarnings(
@@ -435,6 +440,34 @@ def test_solutions_identical_across_hash_seeds(tmp_path, text, argv, td):
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_solutions_identical_across_bag_numberings(tmp_path, capsys):
+    """A .td with its bag ids times 1000 is the same decomposition, so
+    --solutions and the parse tree's counters must not change: balance
+    takes a split's parts smallest bag id first."""
+    rng = random.Random(4)
+    for i in range(30):
+        n = rng.randint(8, 30)
+        edges = [(rng.randint(1, n), rng.randint(1, n), rng.randint(1, 3))
+                 for _ in range(rng.randint(n, 2 * n))]
+        text = f"p kbest {n} {len(edges)} 0\n" + "".join(
+            f"e {t} {h} {w}\n" for t, h, w in edges)
+        (tmp_path / "g.gr").write_text(text)
+        td = heuristic_decomposition(load_graph(text))
+        (tmp_path / "dense.td").write_text(save_td(td, n))
+        (tmp_path / "sparse.td").write_text(save_td(renumbered(td, 1000), n))
+        for argv in (("ksp", "--source", "1", "--target", str(n)),
+                     ("solve", "--problem", "vertex-cover")):
+            got = []
+            for name in ("dense.td", "sparse.td"):
+                code, out, err = run(capsys, *argv, "--graph", str(tmp_path / "g.gr"),
+                                     "--td", str(tmp_path / name), "-k", "30",
+                                     "--solutions", "--stats")
+                assert code == 0, err
+                counters = re.search(r"depth=\d+ max_order=\d+ states=\d+", err)
+                got.append((out, counters.group()))
+            assert got[0] == got[1], (i, argv)
 
 
 @pytest.mark.parametrize("n,k,read", [(3, 2, 0), (1024, 40, 100)],

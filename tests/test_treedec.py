@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from twkbest.treedec import (
 )
 
 from reference import chain_decomposition
+from test_algebra import _front_end_cases
 
 K3 = load_graph("p kbest 3 3 0\ne 1 2 1\ne 2 3 1\ne 1 3 5\n")
 
@@ -317,3 +319,54 @@ def test_balance_validates_its_result_and_refuses_by_the_input(monkeypatch):
             accepted += not report.ok
             assert j or report.ok
     assert refused >= 100, (refused, accepted)
+
+
+def _min_fill_graphs():
+    """The graphs of the front-end pin, then 200 seeded random multigraphs
+    (self-loops, parallel edges, isolated vertices, disconnected ones)."""
+    for _, g, _ in _front_end_cases():
+        yield g
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        edges = tuple((rng.randint(1, n), rng.randint(1, n))
+                      for _ in range(rng.randint(0, 3 * n)))
+        yield WeightedGraph(n, len(edges), False, edges)
+
+
+def test_min_fill_output_is_pinned():
+    """heuristic_decomposition gives the same bags and tree edges as when
+    the digest was taken: its tie rule and its bag ids feed every min-fill
+    run's balanced decomposition."""
+    h = hashlib.sha256()
+    for g in _min_fill_graphs():
+        td = heuristic_decomposition(g)
+        h.update(repr((sorted((b, sorted(vs)) for b, vs in td.bags.items()),
+                       sorted(td.tree_edges))).encode())
+    assert h.hexdigest()[:16] == "805404384aca46c2"
+
+
+def renumbered(td, factor):
+    """td with every bag id times factor: the same tree, ids in the same order."""
+    return TreeDecomposition({factor * b: vs for b, vs in td.bags.items()},
+                             [(factor * a, factor * b) for a, b in td.tree_edges])
+
+
+def _shape(sd, u=None):
+    """A balanced decomposition's bags and child order, without its ids."""
+    u = sd.root if u is None else u
+    return tuple(sorted(sd.bags[u])), tuple(_shape(sd, c) for c in sd.children[u])
+
+
+def test_balance_does_not_depend_on_bag_numbering():
+    """Multiplying every bag id by 1000 keeps their order and changes no
+    bag or tree edge, so the balanced shape must not change: a split's parts
+    are taken smallest bag id first, not in the order a set lists them."""
+    rng = random.Random(1)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        edges = tuple((rng.randint(1, n), rng.randint(1, n))
+                      for _ in range(rng.randint(0, 3 * n)))
+        g = WeightedGraph(n, len(edges), False, edges)
+        td = heuristic_decomposition(g)
+        assert _shape(balance(td, g)) == _shape(balance(renumbered(td, 1000), g))
